@@ -48,7 +48,6 @@ from subplanck.core import (
     field_summary,
     field_to_csv,
     linspace_grid,
-    parallel_map,
     write_json,
     write_text_atomic,
 )
@@ -66,11 +65,10 @@ from subplanck.interference import (
     lattice_report,
 )
 from subplanck.metrology import (
-    OverlapScan,
     SearchError,
     compare_with_compass,
-    default_scan_grid,
     find_orthogonality,
+    overlap_closed,
     overlap_reference,
 )
 from subplanck.states import (
@@ -228,13 +226,56 @@ def _apply_config(args: argparse.Namespace, sub: argparse.ArgumentParser, argv: 
     for token in argv:
         if token.startswith("--"):
             explicit.add(token[2:].split("=", 1)[0].replace("-", "_"))
+    actions = {a.dest: a for a in sub._actions}
     for key, value in config.items():
         dest = by_name.get(key.replace("-", "_"))
         if dest is None or dest not in dests:
             raise ConfigError(f"unknown config key {key!r} for this command")
         if key.replace("-", "_") in explicit or dest in explicit:
             continue
-        setattr(args, dest, value)
+        setattr(args, dest, _config_value(actions[dest], key, value))
+
+
+def _config_value(action: argparse.Action, key: str, value):
+    """``value`` checked against the type and choices of its option.
+
+    JSON types must match exactly (no bool for a number, no float for an
+    int); integers are accepted for float options and converted, as the
+    command line would.  ``null`` is accepted where the default is None.
+    """
+    if value is None and action.default is None:
+        return None
+    if action.nargs == 0:
+        kind, ok = "a boolean", isinstance(value, bool)
+    elif action.type is float:
+        kind = "a number"
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        value = float(value) if ok else value
+    elif action.type is int:
+        kind, ok = "an integer", isinstance(value, int) and not isinstance(value, bool)
+    else:
+        kind, ok = "a string", isinstance(value, str)
+    if not ok:
+        raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
+    if action.choices is not None and value not in action.choices:
+        raise ConfigError(f"config key {key!r} must be one of {list(action.choices)}, got {value!r}")
+    return value
+
+
+def _check_finite(args: argparse.Namespace, sub: argparse.ArgumentParser) -> None:
+    """Reject nan and inf in every float option, from flags or config."""
+    for action in sub._actions:
+        value = getattr(args, action.dest, None)
+        if action.type is float and value is not None and not math.isfinite(value):
+            raise ConfigError(f"{action.option_strings[0]} must be finite, got {value}")
+
+
+def _require_positive(args: argparse.Namespace, *dests: str) -> None:
+    """Reject counts that would leave an artifact empty."""
+    for dest in dests:
+        value = getattr(args, dest)
+        if value < 1:
+            raise ConfigError(f"--{dest.replace('_', '-')} must be at least 1, got {value}")
 
 
 def _rows_to_csv(header: list[str], rows: list[tuple]) -> str:
@@ -330,36 +371,32 @@ def _cmd_tiles(args, units: UnitSystem) -> None:
 
 
 def _cmd_sensitivity(args, units: UnitSystem) -> None:
+    _require_positive(args, "n1", "n2")
     state = _build_state(args.state, args.x0, args.p0, args.sigma, units)
-    grid = default_scan_grid(args.x0, args.p0, args.sigma, units)
-    scan = OverlapScan(state, grid, units)
     d1_max = args.d1_max if args.d1_max is not None else 1.5 * math.pi * units.hbar / args.x0
     d2_max = args.d2_max if args.d2_max is not None else 1.5 * math.pi * units.hbar / args.p0
-    d1s = np.linspace(0.0, d1_max, args.n1)
-    d2s = np.linspace(0.0, d2_max, args.n2)
-    pairs = [(float(d1), float(d2)) for d1 in d1s for d2 in d2s]
-
-    def row(pair: tuple[float, float]) -> tuple:
-        d1, d2 = pair
-        numeric = scan.value(d1, d2)
-        if args.state == "mixed":
-            reference = float(overlap_reference(d1, d2, args.x0, args.p0, args.sigma, units))
-        else:
-            reference = None
-        return (d1, d2, numeric, reference)
-
-    rows = parallel_map(row, pairs, args.threads)
+    d1s, d2s = np.meshgrid(
+        np.linspace(0.0, d1_max, args.n1), np.linspace(0.0, d2_max, args.n2), indexing="ij"
+    )
+    numeric = overlap_closed(state, d1s, d2s, units)
+    if args.state == "mixed":
+        reference = overlap_reference(d1s, d2s, args.x0, args.p0, args.sigma, units).ravel().tolist()
+    else:
+        reference = [None] * d1s.size
+    rows = list(zip(d1s.ravel().tolist(), d2s.ravel().tolist(), numeric.ravel().tolist(), reference))
     payload: dict = {
         "params": _params_echo(
             args,
             ["state", "x0", "p0", "sigma", "n1", "n2", "tol", "n_scan"],
         ),
-        "overlap_at_zero": scan.o00,
+        # the map's first row is the zero displacement: one evaluation
+        # gives both, so they agree bit for bit
+        "overlap_at_zero": rows[0][2],
         "scan": {"d1_max": d1_max, "d2_max": d2_max},
     }
     if not args.no_search:
         result = find_orthogonality(
-            scan.value,
+            lambda d1, d2: overlap_closed(state, d1, d2, units),
             1.5 * math.pi * units.hbar / args.x0,
             1.5 * math.pi * units.hbar / args.p0,
             tol=args.tol,
@@ -375,6 +412,7 @@ def _cmd_sensitivity(args, units: UnitSystem) -> None:
 
 
 def _cmd_decohere(args, units: UnitSystem) -> None:
+    _require_positive(args, "nt")
     bath = BathParams(mass=args.mass, gamma=args.gamma, temperature=args.temperature)
     offset = args.offset if args.offset is not None else (4.5 if args.kind == "position" else 10.0)
     taus = {}
@@ -420,14 +458,11 @@ def _cmd_kerr(args, units: UnitSystem) -> None:
 def _cmd_compare(args, units: UnitSystem) -> None:
     mixed = _build_state("mixed", args.x0, args.p0, args.sigma, units)
     compass = _build_state("compass", args.x0, args.p0, args.sigma, units)
-    grid = default_scan_grid(args.x0, args.p0, args.sigma, units)
     result = compare_with_compass(
         mixed,
         compass,
         1.5 * math.pi * units.hbar / args.x0,
         1.5 * math.pi * units.hbar / args.p0,
-        grid,
-        grid,
         units,
         tol=args.tol,
         n_scan=args.n_scan,
@@ -477,6 +512,7 @@ def main(argv: list[str] | None = None) -> int:
             _apply_config(args, registry[args.command], argv)
         if args.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {args.threads}")
+        _check_finite(args, registry[args.command])
         units = UnitSystem(hbar=args.hbar)
         _COMMANDS[args.command](args, units)
     except Exception as exc:  # noqa: BLE001 - single funnel to exit codes

@@ -241,13 +241,23 @@ def _format_float(v: float) -> str:
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` via a temp file and atomic rename."""
-    d = os.path.dirname(os.path.abspath(path))
+    """Write ``text`` to ``path`` via a temp file and atomic rename.
+
+    The temp file has a unique name in the target directory, so
+    concurrent writers to one path never share it; it is removed if the
+    write fails.
+    """
+    d, name = os.path.split(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    tmp = os.path.join(d, f".{name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def write_json(obj, path: str) -> None:

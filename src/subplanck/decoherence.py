@@ -50,6 +50,9 @@ class BathParams:
     temperature: float
 
     def __post_init__(self) -> None:
+        for name in ("mass", "gamma", "temperature"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.mass > 0:
             raise ValueError(f"mass must be positive, got {self.mass}")
         if self.gamma < 0:

@@ -11,6 +11,13 @@ scale of the zero-line spacings, and suitable sub-Planck displacements
 drive it to zero — the displaced state becomes distinguishable from
 the original far sooner than the packet widths suggest.
 
+:func:`overlap_closed` evaluates the overlap exactly through the trace
+rule ``Tr(rho sigma) = 2 pi hbar iint W_rho W_sigma`` and broadcasts over
+displacement arrays; it is the production route.  Two independent
+oracles check it: :class:`OverlapScan` integrates the sampled product
+by quadrature, and :func:`overlap_map` autocorrelates a sampled field by
+FFT.
+
 :func:`find_orthogonality` measures the first orthogonality point with
 a deterministic scan-ray-polish protocol that works for both the cat
 mixture and the compass state without assuming either's closed form.
@@ -33,12 +40,52 @@ from subplanck.core import (
     WignerField,
     integrate_2d,
 )
-from subplanck.states import CatSpec, MixedSpec
-from subplanck.wigner import wigner_closed_eval
+from subplanck.states import CatSpec, MixedSpec, component_overlap
+from subplanck.wigner import _branches, wigner_closed_eval
 
 
 class SearchError(PhaseSpaceError):
     """An orthogonality search found no usable minimum."""
+
+
+def overlap_closed(
+    state: CatSpec | MixedSpec,
+    delta1,
+    delta2,
+    units: UnitSystem = UnitSystem(),
+):
+    """Exact displacement overlap ``O(delta1, delta2)``.
+
+    For ``rho = sum_b p_b |psi_b><psi_b|`` the trace rule
+    ``Tr(rho sigma) = 2 pi hbar iint W_rho W_sigma`` with
+    ``sigma = D rho D^dagger`` gives
+
+        O = (2 pi hbar)^-1 sum_{b,b'} p_b p_b' |<psi_b| D |psi_b'>|^2,
+
+    where ``D`` shifts position by ``delta2`` and momentum by ``delta1``.
+    Each matrix element is a sum of :func:`component_overlap` terms, so
+    the cost is O(K^2) per displacement for K packets and nothing is
+    sampled.  The global phase of ``D`` cancels in ``|.|^2``, and
+    ``O(delta) = O(-delta)``.
+
+    ``delta1`` and ``delta2`` broadcast against each other; the result
+    has their broadcast shape, or is a float for scalar displacements.
+    """
+    d1 = np.asarray(delta1, dtype=float)
+    d2 = np.asarray(delta2, dtype=float)
+    branches = _branches(state)
+    total = np.zeros(np.broadcast_shapes(d1.shape, d2.shape))
+    for p_a, a in branches:
+        for p_b, b in branches:
+            amp = 0j
+            for c_j, comp_j in zip(a.coefficients, a.components):
+                for c_k, comp_k in zip(b.coefficients, b.components):
+                    amp = amp + c_j.conjugate() * c_k * component_overlap(
+                        comp_j, comp_k, units, shift=(d2, d1)
+                    )
+            total += p_a * p_b * (a.norm * b.norm) ** 2 * (amp.real**2 + amp.imag**2)
+    total /= 2 * math.pi * units.hbar
+    return total if total.ndim else float(total)
 
 
 def default_scan_grid(
@@ -68,7 +115,11 @@ def default_scan_grid(
 
 
 class OverlapScan:
-    """Displacement-overlap evaluator with the reference field cached.
+    """Quadrature oracle for the displacement overlap.
+
+    Samples the closed-form Wigner function and its displaced copy on a
+    grid and integrates their product, one displacement per call.  It
+    checks :func:`overlap_closed`, which the searches and the CLI use.
 
     Parameters
     ----------
@@ -161,7 +212,7 @@ def overlap_map(field: WignerField) -> OverlapMap:
     Computes the autocorrelation ``sum W[a,b] W[a+i, b+j] dx dp`` with
     zero padding (linear, not circular, correlation), giving the
     overlap on every lag of the field's own grid in one pass.  Useful
-    as an independent cross-check of :class:`OverlapScan` and for
+    as an independent cross-check of :func:`overlap_closed` and for
     states known only as sampled fields.
     """
     v = field.values
@@ -192,8 +243,8 @@ def overlap_reference(
     scale and its ``delta2`` zero do not: the defining integral gives
     ``O(0,0) = 1/(4 pi hbar)`` (16 times smaller than this expression's
     origin value) and reaches zero only at ``delta2 = pi hbar/(2 p0)``,
-    twice the value implied here.  Use :func:`overlap` or
-    :class:`OverlapScan` for quantitative work.
+    twice the value implied here.  Use :func:`overlap_closed` for
+    quantitative work.
     """
     hbar = units.hbar
     delta1 = np.asarray(delta1, dtype=float)
@@ -238,11 +289,13 @@ class SensitivityResult:
 def _first_dip(fn, bracket: float, n_scan: int, prominence: float = 1e-6):
     """First interior local minimum of ``fn`` on ``(0, bracket]``.
 
-    Returns ``(location, value)`` after a bounded refinement, or
-    ``None`` if the scan is monotone to within ``prominence``.
+    ``fn`` is called once on the whole array of scan samples, then on
+    scalars by the bounded refinement.  Returns ``(location, value)``
+    after that refinement, or ``None`` if the scan is monotone to within
+    ``prominence``.
     """
     ts = np.linspace(0.0, bracket, n_scan)
-    vals = np.array([fn(t) for t in ts])
+    vals = np.asarray(fn(ts), dtype=float)
     for i in range(1, n_scan - 1):
         if vals[i] < vals[i - 1] and vals[i] <= vals[i + 1]:
             left_max = vals[: i + 1].max()
@@ -282,7 +335,10 @@ def find_orthogonality(
     Parameters
     ----------
     overlap_fn : callable
-        ``(delta1, delta2) -> float``, raw (unnormalized) overlap.
+        ``(delta1, delta2) -> float``, raw (unnormalized) overlap, such
+        as :func:`overlap_closed` bound to a state.  It must broadcast:
+        each scan passes one 1-D array per call, while the polish passes
+        scalars.
     bracket1, bracket2 : float
         Upper bounds of the axis scans; must contain the first axis
         minima (1.5 pi hbar / separation is a safe choice for
@@ -305,6 +361,8 @@ def find_orthogonality(
     """
     if mode not in ("joint", "axis1", "axis2"):
         raise ValueError(f"unknown mode {mode!r}")
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol}")
     o00 = overlap_fn(0.0, 0.0)
     if not (o00 > 0 and math.isfinite(o00)):
         raise SearchError(f"overlap at zero displacement is {o00}; cannot normalize")
@@ -413,8 +471,6 @@ def compare_with_compass(
     compass: CatSpec,
     bracket1: float,
     bracket2: float,
-    grid_mixed: PhaseSpaceGrid,
-    grid_compass: PhaseSpaceGrid,
     units: UnitSystem = UnitSystem(),
     tol: float = 0.02,
     n_scan: int = 601,
@@ -422,13 +478,18 @@ def compare_with_compass(
     """Run the orthogonality protocol on the cat mixture and the
     compass state and compare the displacement products.
 
-    Returns a dict with both :class:`SensitivityResult` entries and
-    the ``product_ratio`` (mixed over compass).
+    Both searches evaluate :func:`overlap_closed`.  Returns a dict with
+    both :class:`SensitivityResult` entries and the ``product_ratio``
+    (mixed over compass).
     """
-    scan_m = OverlapScan(mixed, grid_mixed, units)
-    scan_c = OverlapScan(compass, grid_compass, units)
-    res_m = find_orthogonality(scan_m.value, bracket1, bracket2, tol=tol, n_scan=n_scan)
-    res_c = find_orthogonality(scan_c.value, bracket1, bracket2, tol=tol, n_scan=n_scan)
+
+    def search(state: CatSpec | MixedSpec) -> SensitivityResult:
+        return find_orthogonality(
+            lambda d1, d2: overlap_closed(state, d1, d2, units),
+            bracket1, bracket2, tol=tol, n_scan=n_scan,
+        )
+
+    res_m, res_c = search(mixed), search(compass)
     return {
         "mixed": res_m,
         "compass": res_c,

@@ -118,24 +118,34 @@ class MixedSpec:
         object.__setattr__(self, "branches", tuple((float(p), c) for p, c in self.branches))
 
 
-def component_overlap(a: GaussianComponent, b: GaussianComponent, units: UnitSystem) -> complex:
-    """Inner product ``<phi_a | phi_b>`` of two unit wave packets.
+def component_overlap(
+    a: GaussianComponent,
+    b: GaussianComponent,
+    units: UnitSystem,
+    shift: tuple = (0.0, 0.0),
+):
+    """Inner product ``<phi_a | D phi_b>`` of two unit wave packets.
+
+    ``D`` displaces ``phi_b`` by ``shift = (dx, dp)``:
+    ``(D phi)(x) = exp(i dp x / hbar) phi(x - dx)``, a packet centred at
+    ``(x0 + dx, p0 + dp)`` with phase ``phase - p0 dx / hbar``.  This
+    differs from the Weyl displacement operator only by a global phase.
+    ``dx`` and ``dp`` may be arrays; the result broadcasts over them and
+    is a complex scalar for scalar shifts.
 
     Evaluated from the closed-form Gaussian integral
     ``int exp(-alpha x^2 + beta x + gamma) dx = sqrt(pi/alpha) exp(beta^2/(4 alpha) + gamma)``.
     """
     hbar = units.hbar
+    dx, dp = (np.asarray(v, dtype=float) for v in shift)
+    x0 = b.x0 + dx
+    p0 = b.p0 + dp
+    phase = b.phase - b.p0 * dx / hbar
     alpha = 1.0 / (4 * a.sigma**2) + 1.0 / (4 * b.sigma**2)
-    beta = complex(
-        a.x0 / (2 * a.sigma**2) + b.x0 / (2 * b.sigma**2),
-        (b.p0 - a.p0) / hbar,
-    )
-    gamma = complex(
-        -a.x0**2 / (4 * a.sigma**2) - b.x0**2 / (4 * b.sigma**2),
-        b.phase - a.phase,
-    )
+    beta = (a.x0 / (2 * a.sigma**2) + x0 / (2 * b.sigma**2)) + 1j * ((p0 - a.p0) / hbar)
+    gamma = (-a.x0**2 / (4 * a.sigma**2) - x0**2 / (4 * b.sigma**2)) + 1j * (phase - a.phase)
     front = (2 * math.pi * a.sigma**2) ** -0.25 * (2 * math.pi * b.sigma**2) ** -0.25
-    return front * cmath.sqrt(math.pi / alpha) * cmath.exp(beta**2 / (4 * alpha) + gamma)
+    return front * math.sqrt(math.pi / alpha) * np.exp(beta**2 / (4 * alpha) + gamma)
 
 
 def _gram_norm(

@@ -17,10 +17,10 @@ keeps the quoted value as a point that must not pass as a solution:
   2 + cos(2 delta1 x0/hbar) + cos(2 delta2 p0/hbar), times a Gaussian
   damping, so its joint zero sits at (pi*hbar/(2*x0), pi*hbar/(2*p0))
   and the displacement product is pi^2 hbar^2/(4 x0 p0).  The FFT
-  autocorrelation of the closed-form field must agree with the
-  quadrature there.  The quoted point (pi*hbar/(2*x0), pi*hbar/(4*p0)),
-  with half that product, must keep a normalized overlap above 0.2 on
-  both routes.
+  autocorrelation of the closed-form field must agree with the exact
+  overlap the search uses there.  The quoted point
+  (pi*hbar/(2*x0), pi*hbar/(4*p0)), with half that product, must keep a
+  normalized overlap above 0.2 on both routes.
 * 8e - the bath couples to position, so the momentum-cat attenuation
   grows cubically, A = 4 p0^2 kT gamma t^3/(3 m hbar^2) + O(t^4).  The
   A = 1 crossing must sit near (3 m hbar^2/(4 p0^2 kT gamma))^(1/3),
@@ -54,9 +54,9 @@ from subplanck.decoherence import (
 )
 from subplanck.interference import find_zero_lattice, tile_area
 from subplanck.metrology import (
-    OverlapScan,
     default_scan_grid,
     find_orthogonality,
+    overlap_closed,
     overlap_map,
 )
 from subplanck.states import (
@@ -117,16 +117,24 @@ def bath():
     return BathParams(mass=1.0, gamma=0.1, temperature=10.0)
 
 
+def exact_overlap(state):
+    """The production evaluator, ``(delta1, delta2) -> O``, for ``state``."""
+    return lambda d1, d2: overlap_closed(state, d1, d2, UNITS)
+
+
 @pytest.fixture(scope="module")
 def mixed_search(mixed):
-    scan = OverlapScan(mixed, default_scan_grid(X0, P0, SIGMA, UNITS), UNITS)
+    """The exact overlap normalized to 1 at zero displacement, and the
+    orthogonality search on it."""
+    exact = exact_overlap(mixed)
     result = find_orthogonality(
-        scan.value,
+        exact,
         1.5 * math.pi * HBAR / X0,
         1.5 * math.pi * HBAR / P0,
         n_scan=301,
     )
-    return scan, result
+    o00 = exact(0.0, 0.0)
+    return (lambda d1, d2: exact(d1, d2) / o00), result
 
 
 @pytest.fixture(scope="module")
@@ -158,10 +166,10 @@ def mixed_lag_overlap(mixed):
 @pytest.fixture(scope="module")
 def quoted_point_overlaps(mixed_search, mixed_lag_overlap):
     """Normalized overlap at the quoted (pi*hbar/(2*x0), pi*hbar/(4*p0)),
-    by quadrature and by FFT."""
-    scan, _ = mixed_search
+    in closed form and by FFT."""
+    unit, _ = mixed_search
     point = (math.pi * HBAR / (2 * X0), math.pi * HBAR / (4 * P0))
-    return scan.unit(*point), mixed_lag_overlap(*point)
+    return unit(*point), mixed_lag_overlap(*point)
 
 
 def test_criterion_01_closed_forms_match_integral_oracle(
@@ -252,14 +260,13 @@ def test_criterion_04_tile_area_and_inverse_scaling():
 
 
 def test_criterion_05a_orthogonality_along_position(mixed_search):
-    scan, result = mixed_search
+    _, result = mixed_search
     d1_target = math.pi * HBAR / (2 * X0)
-    unit_min = result.min_overlap / scan.o00
     rel = abs(result.delta1_star - d1_target) / d1_target
     check(
         "05a",
-        result.achieved and abs(unit_min) < 0.02 and rel < 0.02,
-        f"normalized overlap {unit_min:.1e} (< 0.02) at delta1* = "
+        result.achieved and abs(result.min_overlap) < 0.02 and rel < 0.02,
+        f"normalized overlap {result.min_overlap:.1e} (< 0.02) at delta1* = "
         f"{result.delta1_star:.6f}, within {rel:.1e} of pi*hbar/(2*x0) = {d1_target:.6f}",
     )
 
@@ -267,26 +274,26 @@ def test_criterion_05a_orthogonality_along_position(mixed_search):
 def test_criterion_05b_orthogonality_along_momentum(
     mixed_search, mixed_lag_overlap, quoted_point_overlaps
 ):
-    scan, result = mixed_search
+    unit, result = mixed_search
     d1_target = math.pi * HBAR / (2 * X0)
     d2_target = math.pi * HBAR / (2 * P0)
     rel = abs(result.delta2_star - d2_target) / d2_target
     fft_zero = mixed_lag_overlap(d1_target, d2_target)
-    route_gap = abs(fft_zero - scan.unit(d1_target, d2_target))
-    quad_quoted, fft_quoted = quoted_point_overlaps
+    route_gap = abs(fft_zero - unit(d1_target, d2_target))
+    exact_quoted, fft_quoted = quoted_point_overlaps
     check(
         "05b",
         rel < 0.02
         and abs(result.min_overlap) < 0.02
         and abs(fft_zero) < 0.02
         and route_gap < 1e-6
-        and min(quad_quoted, fft_quoted) > 0.2,
+        and min(exact_quoted, fft_quoted) > 0.2,
         f"delta2* = {result.delta2_star:.6f}, within {rel:.1e} of "
         f"pi*hbar/(2*p0) = {d2_target:.6f} (< 2%), normalized overlap "
         f"{result.min_overlap:.1e} (< 0.02); the FFT route gives "
         f"{fft_zero:.1e} at that lag node, {route_gap:.1e} from the "
-        f"quadrature (< 1e-6); at the quoted delta2 = pi*hbar/(4*p0) the "
-        f"overlap is {quad_quoted:.3f} (quadrature) and {fft_quoted:.3f} "
+        f"closed form (< 1e-6); at the quoted delta2 = pi*hbar/(4*p0) the "
+        f"overlap is {exact_quoted:.3f} (closed form) and {fft_quoted:.3f} "
         f"(FFT), not a zero (> 0.2)",
     )
 
@@ -295,24 +302,23 @@ def test_criterion_05c_displacement_product(mixed_search, quoted_point_overlaps)
     _, result = mixed_search
     target = math.pi**2 * HBAR**2 / (4 * X0 * P0)
     rel = abs(result.product - target) / target
-    quad_quoted, fft_quoted = quoted_point_overlaps
+    exact_quoted, fft_quoted = quoted_point_overlaps
     check(
         "05c",
-        rel < 0.05 and min(quad_quoted, fft_quoted) > 0.2,
+        rel < 0.05 and min(exact_quoted, fft_quoted) > 0.2,
         f"delta1*delta2 = {result.product:.6f}, within {rel:.1e} of "
         f"pi^2*hbar^2/(4*x0*p0) = {target:.6f} (< 5%); the point with the "
         f"quoted product pi^2*hbar^2/(8*x0*p0) = {target / 2:.6f}, "
-        f"(pi*hbar/(2*x0), pi*hbar/(4*p0)), has overlap {quad_quoted:.3f} "
-        f"(quadrature) and {fft_quoted:.3f} (FFT), not a zero (> 0.2)",
+        f"(pi*hbar/(2*x0), pi*hbar/(4*p0)), has overlap {exact_quoted:.3f} "
+        f"(closed form) and {fft_quoted:.3f} (FFT), not a zero (> 0.2)",
     )
 
 
 def test_criterion_06_compass_state_parity(mixed_search):
     _, mixed_result = mixed_search
     compass = make_compass(X0, P0, SIGMA, UNITS)
-    scan = OverlapScan(compass, default_scan_grid(X0, P0, SIGMA, UNITS), UNITS)
     result = find_orthogonality(
-        scan.value,
+        exact_overlap(compass),
         1.5 * math.pi * HBAR / X0,
         1.5 * math.pi * HBAR / P0,
         n_scan=201,

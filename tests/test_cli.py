@@ -7,10 +7,14 @@ layout and the CSV formats are all pinned here.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import P0, SIGMA, X0
 from subplanck.cli import main
@@ -348,3 +352,98 @@ class TestThreadDeterminism:
             assert rc == 0
         for name in ("decohere.csv", "decohere.json"):
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "4" / name).read_bytes()
+
+
+# Property tests draw from a fixed sequence, so every run checks the same cases.
+SEEDED = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+# (command, config key, JSON values of the wrong type for that option)
+_NOT_NUMBER = st.one_of(
+    st.text(max_size=4), st.booleans(), st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+_NOT_INT = st.one_of(
+    _NOT_NUMBER, st.floats(allow_nan=False, allow_infinity=False).filter(lambda v: v != int(v))
+)
+_ILL_TYPED = st.one_of(
+    st.tuples(st.just("decohere"), st.sampled_from(["nt", "threads"]), st.one_of(_NOT_INT, st.none())),
+    st.tuples(
+        st.just("decohere"),
+        st.sampled_from(["gamma", "mass", "temperature", "sigma", "hbar"]),
+        st.one_of(_NOT_NUMBER, st.none()),
+    ),
+    st.tuples(st.just("decohere"), st.just("t-max"), _NOT_NUMBER),
+    st.tuples(st.just("decohere"), st.just("kind"), st.one_of(st.text(max_size=6), st.integers())),
+    st.tuples(st.just("sensitivity"), st.sampled_from(["n1", "n2", "n-scan"]), _NOT_INT),
+    st.tuples(st.just("sensitivity"), st.just("no-search"), st.one_of(st.integers(), st.text(max_size=3))),
+    st.tuples(st.just("compare"), st.just("tol"), _NOT_NUMBER),
+)
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_FLOAT_OPTIONS = st.sampled_from([
+    ("decohere", "gamma"), ("decohere", "mass"), ("decohere", "temperature"),
+    ("decohere", "t-max"), ("sensitivity", "tol"), ("sensitivity", "x0"),
+    ("compare", "tol"), ("compare", "sigma"),
+])
+_COUNT_OPTIONS = st.sampled_from([("sensitivity", "n1"), ("sensitivity", "n2"), ("decohere", "nt")])
+
+
+def run_captured(out_dir, *argv: str) -> tuple[int, str]:
+    """Exit code and stderr of one in-process run."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main([*argv, "--out", str(out_dir)])
+    return rc, err.getvalue()
+
+
+def assert_usage_error(rc: int, stderr: str, out_dir, name: str) -> dict:
+    """Exit 2 with a one-line JSON error and no artifacts."""
+    assert rc == 2
+    error = json.loads(stderr.strip().splitlines()[-1])["error"]
+    assert error["code"] == 2
+    assert "Traceback" not in stderr
+    assert not (out_dir / f"{name}.json").exists()
+    return error
+
+
+class TestBoundaryProperties:
+    @SEEDED
+    @given(case=_ILL_TYPED)
+    def test_ill_typed_config_value_exits_2(self, tmp_path_factory, case):
+        command, key, value = case
+        out = tmp_path_factory.mktemp("typed")
+        cfg = out / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        rc, stderr = run_captured(out, command, "--config", str(cfg))
+        error = assert_usage_error(rc, stderr, out, command)
+        assert error["kind"] == "ConfigError"
+        assert repr(key) in error["message"]
+
+    @SEEDED
+    @given(option=_FLOAT_OPTIONS, value=_NON_FINITE, via_config=st.booleans())
+    def test_non_finite_value_exits_2(self, tmp_path_factory, option, value, via_config):
+        command, key = option
+        out = tmp_path_factory.mktemp("finite")
+        if via_config:
+            cfg = out / "cfg.json"
+            cfg.write_text(json.dumps({key: value}))  # NaN / Infinity literals
+            argv = [command, "--config", str(cfg)]
+        else:
+            argv = [command, f"--{key}={value!r}"]
+        rc, stderr = run_captured(out, *argv)
+        error = assert_usage_error(rc, stderr, out, command)
+        assert f"--{key}" in error["message"] and "finite" in error["message"]
+
+    @SEEDED
+    @given(option=_COUNT_OPTIONS, value=st.integers(max_value=0))
+    def test_empty_workload_exits_2(self, tmp_path_factory, option, value):
+        command, key = option
+        out = tmp_path_factory.mktemp("empty")
+        rc, stderr = run_captured(out, command, f"--{key}={value}")
+        error = assert_usage_error(rc, stderr, out, command)
+        assert f"--{key}" in error["message"]
+
+    def test_int_config_for_float_option_is_converted(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"nt": 3, "t-max": 1}))
+        assert run_cli(tmp_path, "decohere", "--config", str(cfg)) == 0
+        assert read_json(tmp_path, "decohere")["params"]["t_max"] == 1.0

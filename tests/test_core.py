@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -154,6 +155,33 @@ class TestWriters:
         write_text_atomic(str(path), "one")
         write_text_atomic(str(path), "two")
         assert path.read_text() == "two"
+
+    def test_write_text_atomic_failure_leaves_target(self, tmp_path):
+        path = tmp_path / "t.txt"
+        write_text_atomic(str(path), "one")
+        with pytest.raises(TypeError):
+            write_text_atomic(str(path), None)
+        assert path.read_text() == "one"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.txt"]
+
+    def test_write_text_atomic_concurrent_writers(self, tmp_path):
+        # Writers to one path must not share a temp file: each rename
+        # installs one complete text, and nothing is left behind.
+        path = tmp_path / "t.txt"
+        texts = [c * 50_000 for c in "abcd"]
+
+        def write_many(text):
+            for _ in range(20):
+                write_text_atomic(str(path), text)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            parallel_map(write_many, texts, threads=len(texts))
+        finally:
+            sys.setswitchinterval(interval)
+        assert path.read_text() in texts
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.txt"]
 
     def test_field_to_csv_layout(self, tmp_path):
         g = linspace_grid(1.0, 1.0, 3, 4)

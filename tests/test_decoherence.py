@@ -40,6 +40,12 @@ class TestBathBasics:
             {"mass": -1.0, "gamma": 0.1, "temperature": 10.0},
             {"mass": 1.0, "gamma": -0.1, "temperature": 10.0},
             {"mass": 1.0, "gamma": 0.1, "temperature": -2.0},
+            {"mass": math.nan, "gamma": 0.1, "temperature": 10.0},
+            {"mass": math.inf, "gamma": 0.1, "temperature": 10.0},
+            {"mass": 1.0, "gamma": math.nan, "temperature": 10.0},
+            {"mass": 1.0, "gamma": math.inf, "temperature": 10.0},
+            {"mass": 1.0, "gamma": 0.1, "temperature": math.nan},
+            {"mass": 1.0, "gamma": 0.1, "temperature": math.inf},
         ],
     )
     def test_invalid_params(self, kwargs):

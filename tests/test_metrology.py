@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 from conftest import P0, SIGMA, X0
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from subplanck.core import UnitSystem, linspace_grid
+from subplanck.core import UnitSystem
 from subplanck.metrology import (
     OverlapScan,
     SearchError,
@@ -15,16 +17,19 @@ from subplanck.metrology import (
     find_orthogonality,
     fit_effective_coefficients,
     overlap,
+    overlap_closed,
     overlap_map,
     overlap_reference,
 )
 from subplanck.states import (
     CatSpec,
     GaussianComponent,
+    MixedSpec,
     make_cat_momentum,
     make_cat_position,
     make_compass,
     make_mixed,
+    psi_eval,
 )
 from subplanck.wigner import wigner_closed
 
@@ -62,6 +67,12 @@ def scan(mixed, units):
     return OverlapScan(mixed, default_scan_grid(X0, P0, SIGMA, units), units)
 
 
+@pytest.fixture(scope="module")
+def exact(mixed, units):
+    """The production evaluator bound to the mixture."""
+    return lambda d1, d2: overlap_closed(mixed, d1, d2, units)
+
+
 class TestScanGrid:
     def test_window_and_parity(self, units):
         grid = default_scan_grid(X0, P0, SIGMA, units)
@@ -77,12 +88,13 @@ class TestOverlapValues:
     def test_origin_value(self, scan):
         assert scan.o00 == pytest.approx(1 / (4 * math.pi * HBAR), rel=1e-12)
 
-    def test_matches_defining_integral_form(self, scan):
+    def test_matches_defining_integral_form(self, scan, exact):
         rng = np.random.default_rng(17)
         for _ in range(8):
             d1 = rng.uniform(0, 0.8)
             d2 = rng.uniform(0, 0.35)
-            assert scan.value(d1, d2) == pytest.approx(true_overlap(d1, d2), abs=1e-12)
+            for evaluate in (scan.value, exact):
+                assert evaluate(d1, d2) == pytest.approx(true_overlap(d1, d2), abs=1e-12)
 
     def test_unit_normalization(self, scan):
         assert scan.unit(0.0, 0.0) == pytest.approx(1.0, rel=1e-14)
@@ -107,6 +119,94 @@ class TestOverlapValues:
         target = 1 / (4 * math.pi * HBAR)
         assert abs(simpson.o00 - target) < 0.02 * target
         assert abs(simpson.o00 - target) > 1e-4 * target
+
+
+# Property tests draw from a fixed sequence, so every run checks the same cases.
+SEEDED = settings(max_examples=12, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def packet_states(draw):
+    """A cat mixture (with a drawn weight) or a compass state, with the
+    ``(x0, p0, sigma)`` it was built from."""
+    x0 = draw(st.floats(2.0, 6.0))
+    p0 = draw(st.floats(5.0, 14.0))
+    sigma = draw(st.floats(0.3, 0.8))
+    if draw(st.booleans()):
+        state = make_compass(x0, p0, sigma)
+    else:
+        weight = draw(st.floats(0.2, 0.8))
+        state = make_mixed(make_cat_position(x0, sigma), make_cat_momentum(p0, sigma), weight)
+    return state, x0, p0, sigma
+
+
+def displacements(x0, p0):
+    """Displacements within the search brackets, in both directions."""
+    return st.tuples(
+        st.floats(-1.5 * math.pi * HBAR / x0, 1.5 * math.pi * HBAR / x0),
+        st.floats(-1.5 * math.pi * HBAR / p0, 1.5 * math.pi * HBAR / p0),
+    )
+
+
+def purity(state, x0, sigma):
+    """``Tr rho^2`` from wave functions sampled on a fine grid."""
+    xs = np.linspace(-(x0 + 12 * sigma), x0 + 12 * sigma, 8001)
+    branches = state.branches if isinstance(state, MixedSpec) else ((1.0, state),)
+    psis = [(p, psi_eval(cat, xs)) for p, cat in branches]
+    return sum(
+        pa * pb * abs(np.trapezoid(np.conj(a) * b, xs)) ** 2
+        for pa, a in psis
+        for pb, b in psis
+    )
+
+
+class TestClosedOverlap:
+    @SEEDED
+    @given(packet_states())
+    def test_origin_is_purity(self, drawn):
+        state, x0, _, sigma = drawn
+        o00 = overlap_closed(state, 0.0, 0.0)
+        assert o00 == pytest.approx(purity(state, x0, sigma) / (2 * math.pi * HBAR), rel=1e-12)
+
+    @SEEDED
+    @given(st.data())
+    def test_even_in_displacement(self, data):
+        state, x0, p0, _ = data.draw(packet_states())
+        d1, d2 = data.draw(displacements(x0, p0))
+        o00 = overlap_closed(state, 0.0, 0.0)
+        assert abs(overlap_closed(state, d1, d2) - overlap_closed(state, -d1, -d2)) <= 1e-14 * o00
+
+    @SEEDED
+    @given(st.data())
+    def test_matches_quadrature(self, data):
+        state, x0, p0, sigma = data.draw(packet_states())
+        scan = OverlapScan(state, default_scan_grid(x0, p0, sigma))
+        o00 = overlap_closed(state, 0.0, 0.0)
+        for _ in range(3):
+            d1, d2 = data.draw(displacements(x0, p0))
+            assert abs(overlap_closed(state, d1, d2) - scan.value(d1, d2)) <= 1e-12 * o00
+
+    @SEEDED
+    @given(st.data())
+    def test_matches_fft_lag_nodes(self, data):
+        state, x0, p0, sigma = data.draw(packet_states())
+        grid = default_scan_grid(x0, p0, sigma)
+        omap = overlap_map(wigner_closed(state, grid))
+        i0, j0 = grid.nx - 1, grid.np - 1  # the zero lag
+        di = np.array(data.draw(st.lists(st.integers(-15, 15), min_size=4, max_size=4)))
+        dj = np.array(data.draw(st.lists(st.integers(-15, 15), min_size=4, max_size=4)))
+        want = omap.values[i0 + di, j0 + dj]
+        got = overlap_closed(state, omap.delta1s[j0 + dj], omap.delta2s[i0 + di])
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+    def test_broadcasts_to_a_map(self, mixed):
+        d1s, d2s = np.meshgrid(np.linspace(0, 0.5, 4), np.linspace(-0.2, 0.2, 3), indexing="ij")
+        grid = overlap_closed(mixed, d1s, d2s)
+        assert grid.shape == (4, 3)
+        assert grid[2, 1] == pytest.approx(
+            overlap_closed(mixed, float(d1s[2, 1]), float(d2s[2, 1])), rel=1e-14
+        )
+        assert isinstance(overlap_closed(mixed, 0.1, 0.0), float)
 
 
 class TestOverlapMap:
@@ -179,8 +279,8 @@ def analytic_dip(fn, lo, hi):
 
 
 class TestOrthogonalitySearch:
-    def test_joint_search_finds_tile_scale_zero(self, scan):
-        res = find_orthogonality(scan.value, BRACKET1, BRACKET2, n_scan=201)
+    def test_joint_search_finds_tile_scale_zero(self, exact):
+        res = find_orthogonality(exact, BRACKET1, BRACKET2, n_scan=201)
         assert res.achieved
         # The joint zero is immune to the Gaussian displacement damping
         # (a positive envelope cannot move a zero), so it lands exactly
@@ -194,17 +294,17 @@ class TestOrthogonalitySearch:
         assert D1_STAR < res.axis1_dip < 1.02 * D1_STAR
         assert D2_STAR < res.axis2_dip < 1.02 * D2_STAR
 
-    def test_axis_modes_match_damped_profile(self, scan):
+    def test_axis_modes_match_damped_profile(self, exact):
         # Positions at a flat minimum are only determined to
         # sqrt(noise/curvature) ~ 1e-7; the minimum value itself is tight.
-        res1 = find_orthogonality(scan.value, BRACKET1, BRACKET2, mode="axis1", n_scan=201)
+        res1 = find_orthogonality(exact, BRACKET1, BRACKET2, mode="axis1", n_scan=201)
         want_x1, want_f1 = analytic_dip(damped_axis1, 0.5 * D1_STAR, 1.5 * D1_STAR)
         assert not res1.achieved
         assert res1.delta2_star == 0.0
         assert res1.delta1_star == pytest.approx(want_x1, rel=1e-6)
         assert res1.min_overlap == pytest.approx(want_f1, rel=1e-9)
 
-        res2 = find_orthogonality(scan.value, BRACKET1, BRACKET2, mode="axis2", n_scan=201)
+        res2 = find_orthogonality(exact, BRACKET1, BRACKET2, mode="axis2", n_scan=201)
         want_x2, want_f2 = analytic_dip(damped_axis2, 0.5 * D2_STAR, 1.5 * D2_STAR)
         assert not res2.achieved
         assert res2.delta1_star == 0.0
@@ -217,14 +317,31 @@ class TestOrthogonalitySearch:
             coefficients=(1.0,),
             norm=1.0,
         )
-        grid = linspace_grid(8 * SIGMA, 8 * HBAR / SIGMA, 121, 121)
-        gscan = OverlapScan(packet, grid, units)
         with pytest.raises(SearchError, match="minimum"):
-            find_orthogonality(gscan.value, 2.0, 2.0, n_scan=101)
+            find_orthogonality(
+                lambda d1, d2: overlap_closed(packet, d1, d2, units), 2.0, 2.0, n_scan=101
+            )
 
-    def test_invalid_mode_rejected(self, scan):
+    def test_invalid_mode_rejected(self, exact):
         with pytest.raises(ValueError, match="mode"):
-            find_orthogonality(scan.value, BRACKET1, BRACKET2, mode="diagonal")
+            find_orthogonality(exact, BRACKET1, BRACKET2, mode="diagonal")
+
+    def test_non_finite_tol_rejected(self, exact):
+        with pytest.raises(ValueError, match="tol"):
+            find_orthogonality(exact, BRACKET1, BRACKET2, tol=math.nan)
+
+    def test_one_call_per_scan(self, exact):
+        # Each scan hands the evaluator one array; only the polish and
+        # the normalization pass scalars.
+        shapes = []
+
+        def counting(d1, d2):
+            shapes.append(np.broadcast_shapes(np.shape(d1), np.shape(d2)))
+            return exact(d1, d2)
+
+        find_orthogonality(counting, BRACKET1, BRACKET2, n_scan=201)
+        assert [s for s in shapes if s] == [(201,)] * 3
+        assert shapes[0] == ()
 
 
 class TestEffectiveModel:
@@ -239,10 +356,7 @@ class TestEffectiveModel:
 class TestCompassComparison:
     def test_products_match(self, mixed, units):
         compass = make_compass(X0, P0, SIGMA, units)
-        grid = default_scan_grid(X0, P0, SIGMA, units)
-        out = compare_with_compass(
-            mixed, compass, BRACKET1, BRACKET2, grid, grid, units, n_scan=201
-        )
+        out = compare_with_compass(mixed, compass, BRACKET1, BRACKET2, units, n_scan=201)
         assert out["mixed"].achieved and out["compass"].achieved
         assert out["product_ratio"] == pytest.approx(1.0, abs=1e-6)
         assert out["compass"].delta1_star == pytest.approx(D1_STAR, rel=1e-5)

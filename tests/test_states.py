@@ -62,6 +62,28 @@ class TestComponents:
             math.exp(-(1.5**2) / (8 * 0.25)), abs=1e-14
         )
 
+    def test_shifted_overlap_is_displaced_packet(self, units):
+        # D(dx, dp) moves the centre and adds the phase -p0 dx / hbar.
+        a = GaussianComponent(sigma=0.5, x0=1.0, p0=2.0, phase=0.3)
+        b = GaussianComponent(sigma=0.8, x0=-0.7, p0=1.1, phase=-0.2)
+        dx, dp = 0.4, -1.3
+        moved = GaussianComponent(
+            sigma=0.8, x0=-0.7 + dx, p0=1.1 + dp, phase=-0.2 - 1.1 * dx / units.hbar
+        )
+        assert component_overlap(a, b, units, shift=(dx, dp)) == pytest.approx(
+            component_overlap(a, moved, units), abs=1e-14
+        )
+
+    def test_shifted_overlap_broadcasts(self, units):
+        a = GaussianComponent(sigma=0.5, x0=1.0, p0=2.0)
+        dxs = np.linspace(-1, 1, 5)[:, None]
+        dps = np.linspace(-2, 2, 3)
+        out = component_overlap(a, a, units, shift=(dxs, dps))
+        assert out.shape == (5, 3)
+        assert out[4, 0] == pytest.approx(
+            component_overlap(a, a, units, shift=(1.0, -2.0)), abs=1e-15
+        )
+
     def test_overlap_against_quadrature(self, units):
         a = GaussianComponent(sigma=0.6, x0=0.4, p0=2.0, phase=0.1)
         b = GaussianComponent(sigma=0.45, x0=-0.8, p0=-1.0, phase=0.7)
