@@ -95,6 +95,14 @@ class ConfigError(Exception):
     """The configuration file is unreadable or holds unknown keys."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises parse errors as :class:`ConfigError`, so they exit 2 with the
+    JSON error line instead of argparse's usage text."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 _STATE_CHOICES = ("cat-position", "cat-momentum", "mixed", "compass")
 
 
@@ -111,7 +119,7 @@ def _build_state(name: str, x0: float, p0: float, sigma: float, units: UnitSyste
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--config", type=str, default=None, help="JSON file with option defaults")
     common.add_argument("--out", type=str, default=".", help="output directory")
     common.add_argument("--hbar", type=float, default=1.0, help="value of hbar")
@@ -120,9 +128,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         "--format", choices=("csv", "json", "both"), default="both", help="artifact formats"
     )
 
-    parser = argparse.ArgumentParser(
-        prog="subplanck", description="Phase-space interference analysis tools"
-    )
+    parser = _Parser(prog="subplanck", description="Phase-space interference analysis tools")
     sub = parser.add_subparsers(dest="command", required=True)
     registry: dict[str, argparse.ArgumentParser] = {}
 
@@ -506,8 +512,8 @@ def _fail(exc: Exception) -> int:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, registry = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.config is not None:
             _apply_config(args, registry[args.command], argv)
         if args.threads < 1:

@@ -18,7 +18,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 
 class PhaseSpaceError(Exception):
@@ -194,6 +193,25 @@ class Quadrature:
             raise ValueError(f"quadrature order must be >= 16, got {self.order}")
 
 
+def _uniform_weights(rule: str, n: int, step: float) -> np.ndarray:
+    """Weights of the composite ``rule`` on ``n`` nodes spaced ``step`` apart.
+
+    ``"trapezoid"`` or ``"simpson"``; Simpson needs an odd ``n``.
+    """
+    if rule == "trapezoid":
+        w = np.full(n, step)
+        w[0] = w[-1] = step / 2
+        return w
+    if rule == "simpson":
+        if n % 2 == 0:
+            raise ValueError("simpson rule needs an odd number of samples along each axis")
+        w = np.full(n, 2 * step / 3)
+        w[1::2] = 4 * step / 3
+        w[0] = w[-1] = step / 3
+        return w
+    raise ValueError(f"unknown integration rule {rule!r}")
+
+
 def integrate_2d(field: WignerField, rule: str = "trapezoid") -> float:
     """Integrate a sampled field over its grid window.
 
@@ -212,13 +230,8 @@ def integrate_2d(field: WignerField, rule: str = "trapezoid") -> float:
     v = field.values
     if not np.all(np.isfinite(v)):
         raise InvalidFieldError("field contains non-finite samples")
-    if rule == "trapezoid":
-        return float(np.trapezoid(np.trapezoid(v, dx=field.grid.dp, axis=1), dx=field.grid.dx))
-    if rule == "simpson":
-        if field.grid.nx % 2 == 0 or field.grid.np % 2 == 0:
-            raise ValueError("simpson rule needs an odd number of samples along each axis")
-        return float(simpson(simpson(v, dx=field.grid.dp, axis=1), dx=field.grid.dx))
-    raise ValueError(f"unknown integration rule {rule!r}")
+    g = field.grid
+    return float(_uniform_weights(rule, g.nx, g.dx) @ v @ _uniform_weights(rule, g.np, g.dp))
 
 
 def parallel_map(fn, items, threads: int = 1) -> list:

@@ -34,6 +34,7 @@ from subplanck.core import (
     UnitSystem,
     WignerField,
     WindowError,
+    _uniform_weights,
     parallel_map,
 )
 from subplanck.metrology import SearchError
@@ -352,12 +353,6 @@ def evolve_characteristic(
     return damp * base
 
 
-def _all_components(state: CatSpec | MixedSpec):
-    if isinstance(state, MixedSpec):
-        return [c for _, cat in state.branches for c in cat.components]
-    return list(state.components)
-
-
 def evolved_wigner(
     state: CatSpec | MixedSpec,
     bath: BathParams,
@@ -381,11 +376,9 @@ def evolved_wigner(
     """
     hbar = units.hbar
     m = bath.mass
-    comps = _all_components(state)
-    smin = min(c.sigma for c in comps)
-    smax = max(c.sigma for c in comps)
-    Dx = max(abs(a.x0 - b.x0) for a in comps for b in comps)
-    Dp = max(abs(a.p0 - b.p0) for a in comps for b in comps)
+    packets = state._packets
+    smin, smax = float(packets.sigma.min()), float(packets.sigma.max())
+    Dx, Dp = float(np.ptp(packets.x0)), float(np.ptp(packets.p0))
 
     # window in the flowed (primed) frame, pulled back through the flow
     c_primed = np.array([Dx + 26 * smax, Dp + 9 * hbar / smin])
@@ -393,7 +386,7 @@ def evolved_wigner(
     cQ, cP = np.abs(np.linalg.inv(M)) @ c_primed
 
     # evolved real-space support fixes the sampling steps
-    centers = np.array([[c.x0, c.p0] for c in comps])
+    centers = np.stack([packets.x0, packets.p0], axis=1)
     evolved = centers @ M.T
     xx, xv, vv = bath_moments(bath, t, units)
     Rx = np.abs(evolved[:, 0]).max() + 9 * math.sqrt(
@@ -423,14 +416,12 @@ def evolved_wigner(
             f"edge/peak = {edge / peak:.3e}"
         )
 
-    wQ = np.ones(nQ)
-    wQ[0] = wQ[-1] = 0.5
-    wP = np.ones(nP)
-    wP[0] = wP[-1] = 0.5
+    wQ = _uniform_weights("trapezoid", nQ, dQ)
+    wP = _uniform_weights("trapezoid", nP, dP)
     weighted = C * wQ[:, None] * wP[None, :]
     Ex = np.exp(1j * np.outer(grid.xs(), Ps) / hbar)
     Ep = np.exp(1j * np.outer(Qs, grid.ps()) / hbar)
-    values = (Ex @ weighted.T @ Ep).real * dQ * dP / (2 * math.pi * hbar) ** 2
+    values = (Ex @ weighted.T @ Ep).real / (2 * math.pi * hbar) ** 2
     return WignerField(grid=grid, values=values)
 
 

@@ -40,8 +40,8 @@ from subplanck.core import (
     WignerField,
     integrate_2d,
 )
-from subplanck.states import CatSpec, MixedSpec, component_overlap
-from subplanck.wigner import _branches, wigner_closed_eval
+from subplanck.states import CatSpec, MixedSpec, _branches, _pair_exponent
+from subplanck.wigner import wigner_closed_eval
 
 
 class SearchError(PhaseSpaceError):
@@ -63,28 +63,26 @@ def overlap_closed(
         O = (2 pi hbar)^-1 sum_{b,b'} p_b p_b' |<psi_b| D |psi_b'>|^2,
 
     where ``D`` shifts position by ``delta2`` and momentum by ``delta1``.
-    Each matrix element is a sum of :func:`component_overlap` terms, so
-    the cost is O(K^2) per displacement for K packets and nothing is
-    sampled.  The global phase of ``D`` cancels in ``|.|^2``, and
-    ``O(delta) = O(-delta)``.
+    All packet-pair overlaps come from one call of the pair kernel behind
+    :func:`~subplanck.states.component_overlap`, so the cost is O(K^2)
+    per displacement for K packets and nothing is sampled.  The global
+    phase of ``D`` cancels in ``|.|^2``, and ``O(delta) = O(-delta)``.
 
     ``delta1`` and ``delta2`` broadcast against each other; the result
     has their broadcast shape, or is a float for scalar displacements.
     """
-    d1 = np.asarray(delta1, dtype=float)
-    d2 = np.asarray(delta2, dtype=float)
-    branches = _branches(state)
-    total = np.zeros(np.broadcast_shapes(d1.shape, d2.shape))
-    for p_a, a in branches:
-        for p_b, b in branches:
-            amp = 0j
-            for c_j, comp_j in zip(a.coefficients, a.components):
-                for c_k, comp_k in zip(b.coefficients, b.components):
-                    amp = amp + c_j.conjugate() * c_k * component_overlap(
-                        comp_j, comp_k, units, shift=(d2, d1)
-                    )
-            total += p_a * p_b * (a.norm * b.norm) ** 2 * (amp.real**2 + amp.imag**2)
-    total /= 2 * math.pi * units.hbar
+    v = state._packets
+    n = v.coef.size
+    d1, d2 = np.broadcast_arrays(np.asarray(delta1, dtype=float), np.asarray(delta2, dtype=float))
+    # packet axes lead, so every array pass runs over contiguous displacements
+    ones = (1,) * d1.ndim
+    terms = np.exp(_pair_exponent(v.shaped(n, 1, *ones), v.shaped(1, n, *ones), d2, d1, units.hbar))
+    terms *= np.outer(v.coef.conj(), v.coef).reshape(n, n, *ones)
+    # sum the packet pairs of each branch pair into its matrix element;
+    # sqrt(p_b) N_b is already folded into v.coef
+    starts = np.cumsum([0] + [len(cat.components) for _, cat in _branches(state)][:-1])
+    amp = np.add.reduceat(np.add.reduceat(terms, starts, axis=0), starts, axis=1)
+    total = (amp.real**2 + amp.imag**2).sum(axis=(0, 1)) / (2 * math.pi * units.hbar)
     return total if total.ndim else float(total)
 
 
@@ -429,10 +427,11 @@ def find_orthogonality(
 
 
 def fit_effective_coefficients(
-    scan: OverlapScan,
+    state: CatSpec | MixedSpec,
     x0: float,
     p0: float,
     sigma: float,
+    units: UnitSystem = UnitSystem(),
     n_samples: int = 9,
 ) -> dict:
     """Fit the measured unit overlap to its harmonic model.
@@ -442,22 +441,24 @@ def fit_effective_coefficients(
 
         a * cos(2 delta1 x0/hbar) + b * cos(2 delta2 p0/hbar) + c
 
-    This samples one oscillation period per axis and least-squares
-    fits ``(a, b, c)``; the residual tells how well the model holds.
+    This samples one oscillation period per axis with
+    :func:`overlap_closed` and least-squares fits ``(a, b, c)``; the
+    residual tells how well the model holds.
     """
-    hbar = scan.units.hbar
-    d1s = np.linspace(0.0, math.pi * hbar / x0, n_samples)
-    d2s = np.linspace(0.0, math.pi * hbar / p0, n_samples)
-    rows = []
-    rhs = []
-    for d1 in d1s:
-        for d2 in d2s:
-            damp = math.exp(-(d1**2) * sigma**2 / hbar**2 - d2**2 / (4 * sigma**2))
-            rows.append([math.cos(2 * d1 * x0 / hbar), math.cos(2 * d2 * p0 / hbar), 1.0])
-            rhs.append(scan.unit(d1, d2) / damp)
-    coef, residuals, *_ = np.linalg.lstsq(np.asarray(rows), np.asarray(rhs), rcond=None)
-    fitted = np.asarray(rows) @ coef
-    rms = float(np.sqrt(np.mean((fitted - np.asarray(rhs)) ** 2)))
+    hbar = units.hbar
+    d1, d2 = np.meshgrid(
+        np.linspace(0.0, math.pi * hbar / x0, n_samples),
+        np.linspace(0.0, math.pi * hbar / p0, n_samples),
+        indexing="ij",
+    )
+    d1, d2 = d1.ravel(), d2.ravel()
+    values = overlap_closed(state, d1, d2, units)
+    # the first sample is the zero displacement
+    damp = np.exp(-(d1**2) * sigma**2 / hbar**2 - d2**2 / (4 * sigma**2))
+    rhs = values / values[0] / damp
+    rows = np.stack([np.cos(2 * d1 * x0 / hbar), np.cos(2 * d2 * p0 / hbar), np.ones_like(d1)], axis=1)
+    coef, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
+    rms = float(np.sqrt(np.mean((rows @ coef - rhs) ** 2)))
     return {
         "coef_cos_delta1": float(coef[0]),
         "coef_cos_delta2": float(coef[1]),

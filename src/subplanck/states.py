@@ -22,10 +22,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.stats import poisson
+from scipy.special import pdtrc
 
 from subplanck.core import PhaseSpaceError, UnitSystem
 
@@ -65,6 +67,59 @@ class GaussianComponent:
                 raise ValueError(f"{name} must be finite")
 
 
+class _Packets(NamedTuple):
+    """Struct-of-arrays view of packets: one array per parameter.
+
+    The fields broadcast against each other, so a view reshaped to a
+    column and another to a row describe all packet pairs at once.
+    """
+
+    sigma: np.ndarray
+    x0: np.ndarray
+    p0: np.ndarray
+    phase: np.ndarray
+    coef: np.ndarray
+
+    @classmethod
+    def of(cls, components, coefficients) -> _Packets:
+        fields = zip(*((c.sigma, c.x0, c.p0, c.phase) for c in components))
+        return cls(*map(np.array, fields), np.array(coefficients, dtype=complex))
+
+    def shaped(self, *shape: int) -> _Packets:
+        """The view with every field reshaped to ``shape``."""
+        return _Packets(*(f.reshape(shape) for f in self))
+
+
+def _pair_exponent(a, b, dx, dp, hbar: float):
+    """Complex logarithm of ``<phi_a| D |phi_b>`` for unit wave packets.
+
+    ``D`` displaces ``phi_b`` by ``(dx, dp)``:
+    ``(D phi)(x) = exp(i dp x / hbar) phi(x - dx)``, a packet centred at
+    ``(x0 + dx, p0 + dp)`` with phase ``phase - p0 dx / hbar``.  ``a`` and
+    ``b`` are packets or :class:`_Packets` views whose fields broadcast
+    against each other and against ``dx`` and ``dp``.
+
+    This is the package's one evaluation of the Gaussian-pair integral:
+    ``phi_a* D phi_b`` is a Gaussian of precision
+    ``(sa^2 + sb^2) / (4 sa^2 sb^2)`` about ``mid`` times the tone
+    ``exp(i kappa x)``.  The overlap, the Wigner function and the
+    characteristic function each take ``exp`` of it plus their own phase.
+    """
+    sa2 = a.sigma**2
+    sb2 = b.sigma**2
+    s2 = sa2 + sb2
+    xb = b.x0 + dx
+    kappa = (b.p0 - a.p0 + dp) / hbar
+    mid = (sb2 * a.x0 + sa2 * xb) / s2
+    # each group depends on dx only or on dp only, so separable dx and dp
+    # arrays meet in as few full-size passes as possible
+    re = (0.5 * np.log(2 * a.sigma * b.sigma / s2) - (xb - a.x0) ** 2 / (4 * s2)) - kappa**2 * (
+        sa2 * sb2 / s2
+    )
+    im = kappa * mid + (b.phase - a.phase - b.p0 * dx / hbar)
+    return re + 1j * im
+
+
 @dataclass(frozen=True)
 class CatSpec:
     """Normalized superposition of Gaussian wave packets.
@@ -94,6 +149,11 @@ class CatSpec:
         object.__setattr__(self, "components", tuple(self.components))
         object.__setattr__(self, "coefficients", tuple(complex(c) for c in self.coefficients))
 
+    @cached_property
+    def _packets(self) -> _Packets:
+        """The packets, with ``coef = norm * coefficients``."""
+        return _Packets.of(self.components, [self.norm * c for c in self.coefficients])
+
 
 @dataclass(frozen=True)
 class MixedSpec:
@@ -117,6 +177,22 @@ class MixedSpec:
             raise ValueError(f"branch probabilities must sum to 1, got {sum(ps)}")
         object.__setattr__(self, "branches", tuple((float(p), c) for p, c in self.branches))
 
+    @cached_property
+    def _packets(self) -> _Packets:
+        """The packets of every branch in order, with ``sqrt(p_b)`` folded
+        into each branch's ``coef``."""
+        views = [cat._packets._replace(coef=math.sqrt(p) * cat._packets.coef) for p, cat in self.branches]
+        return _Packets(*map(np.concatenate, zip(*views)))
+
+
+def _branches(state: CatSpec | MixedSpec) -> tuple[tuple[float, CatSpec], ...]:
+    """``(probability, CatSpec)`` pairs of a pure or mixed state."""
+    if isinstance(state, CatSpec):
+        return ((1.0, state),)
+    if isinstance(state, MixedSpec):
+        return state.branches
+    raise TypeError(f"unsupported state type {type(state).__name__}")
+
 
 def component_overlap(
     a: GaussianComponent,
@@ -132,20 +208,9 @@ def component_overlap(
     differs from the Weyl displacement operator only by a global phase.
     ``dx`` and ``dp`` may be arrays; the result broadcasts over them and
     is a complex scalar for scalar shifts.
-
-    Evaluated from the closed-form Gaussian integral
-    ``int exp(-alpha x^2 + beta x + gamma) dx = sqrt(pi/alpha) exp(beta^2/(4 alpha) + gamma)``.
     """
-    hbar = units.hbar
     dx, dp = (np.asarray(v, dtype=float) for v in shift)
-    x0 = b.x0 + dx
-    p0 = b.p0 + dp
-    phase = b.phase - b.p0 * dx / hbar
-    alpha = 1.0 / (4 * a.sigma**2) + 1.0 / (4 * b.sigma**2)
-    beta = (a.x0 / (2 * a.sigma**2) + x0 / (2 * b.sigma**2)) + 1j * ((p0 - a.p0) / hbar)
-    gamma = (-a.x0**2 / (4 * a.sigma**2) - x0**2 / (4 * b.sigma**2)) + 1j * (phase - a.phase)
-    front = (2 * math.pi * a.sigma**2) ** -0.25 * (2 * math.pi * b.sigma**2) ** -0.25
-    return front * math.sqrt(math.pi / alpha) * np.exp(beta**2 / (4 * alpha) + gamma)
+    return np.exp(_pair_exponent(a, b, dx, dp, units.hbar))
 
 
 def _gram_norm(
@@ -154,12 +219,10 @@ def _gram_norm(
     units: UnitSystem,
 ) -> float:
     """Normalization constant from the component Gram matrix."""
-    total = 0.0
-    n = len(components)
-    for j in range(n):
-        for k in range(n):
-            ov = component_overlap(components[j], components[k], units)
-            total += (coefficients[j].conjugate() * coefficients[k] * ov).real
+    v = _Packets.of(components, coefficients)
+    n = len(v.coef)
+    gram = np.exp(_pair_exponent(v.shaped(n, 1), v.shaped(1, n), 0.0, 0.0, units.hbar))
+    total = float(np.real(v.coef.conj() @ gram @ v.coef))
     if total <= 0:
         raise ValueError("superposition has zero norm")
     return 1.0 / math.sqrt(total)
@@ -226,15 +289,12 @@ def psi_eval(spec: CatSpec, x: np.ndarray, units: UnitSystem = UnitSystem()) -> 
     -------
     numpy.ndarray of complex, same shape as ``x``.
     """
-    x = np.asarray(x, dtype=float)
-    out = np.zeros(x.shape, dtype=complex)
-    for comp, c in zip(spec.components, spec.coefficients):
-        front = (2 * math.pi * comp.sigma**2) ** -0.25
-        out += c * front * np.exp(
-            -((x - comp.x0) ** 2) / (4 * comp.sigma**2)
-            + 1j * (comp.p0 * x / units.hbar + comp.phase)
-        )
-    return spec.norm * out
+    v = spec._packets
+    u = np.asarray(x, dtype=float)[..., None]
+    phi = (2 * math.pi * v.sigma**2) ** -0.25 * np.exp(
+        -((u - v.x0) ** 2) / (4 * v.sigma**2) + 1j * (v.p0 * u / units.hbar + v.phase)
+    )
+    return phi @ v.coef
 
 
 @dataclass(frozen=True)
@@ -313,7 +373,7 @@ def kerr_evolve(
     if cutoff is None:
         cutoff = default_cutoff(alpha)
     lam = abs(alpha) ** 2
-    tail = float(poisson.sf(cutoff, lam)) if lam > 0 else 0.0
+    tail = float(pdtrc(cutoff, lam)) if lam > 0 else 0.0
     if tail > tail_tol:
         raise TruncationError(
             f"cutoff {cutoff} leaves tail probability {tail:.3e} > {tail_tol:.1e} "

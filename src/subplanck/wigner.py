@@ -22,7 +22,7 @@ Their agreement is a strong end-to-end check of both.
 
 from __future__ import annotations
 
-import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -34,42 +34,19 @@ from subplanck.core import (
     Quadrature,
     UnitSystem,
     WignerField,
+    _uniform_weights,
 )
-from subplanck.states import CatSpec, FockVector, GaussianComponent, MixedSpec
+from subplanck.states import (
+    CatSpec,
+    FockVector,
+    GaussianComponent,
+    MixedSpec,
+    _branches,
+    _pair_exponent,
+    psi_eval,
+)
 
 _TAIL_SIGMAS = 8.5  # Gaussian tails are below 3e-16 beyond this many widths
-
-
-def _branches(state: CatSpec | MixedSpec) -> tuple[tuple[float, CatSpec], ...]:
-    if isinstance(state, CatSpec):
-        return ((1.0, state),)
-    if isinstance(state, MixedSpec):
-        return state.branches
-    raise TypeError(f"unsupported state type {type(state).__name__}")
-
-
-def _packet_eval(comp: GaussianComponent, u: np.ndarray, hbar: float) -> np.ndarray:
-    """Unit-normalized wave packet evaluated at ``u`` (complex array)."""
-    front = (2 * math.pi * comp.sigma**2) ** -0.25
-    return front * np.exp(
-        -((u - comp.x0) ** 2) / (4 * comp.sigma**2)
-        + 1j * (comp.p0 * u / hbar + comp.phase)
-    )
-
-
-def _pair_scale(cj: GaussianComponent, ck: GaussianComponent) -> tuple[float, float]:
-    """Gaussian width ``s`` and slope of the center ``mu(x)`` of the
-    chord product ``phi_j(x - y/2) phi_k*(x + y/2)`` seen as a function
-    of ``y``."""
-    sj2, sk2 = cj.sigma**2, ck.sigma**2
-    s = math.sqrt(8 * sj2 * sk2 / (sj2 + sk2))
-    dmu_dx = 2 * (sk2 - sj2) / (sj2 + sk2)
-    return s, dmu_dx
-
-
-def _pair_center(cj: GaussianComponent, ck: GaussianComponent, x: np.ndarray) -> np.ndarray:
-    sj2, sk2 = cj.sigma**2, ck.sigma**2
-    return (2 * sk2 * (x - cj.x0) - 2 * sj2 * (x - ck.x0)) / (sj2 + sk2)
 
 
 def _pair_integral_uniform(
@@ -77,7 +54,7 @@ def _pair_integral_uniform(
     ck: GaussianComponent,
     xs: np.ndarray,
     ps: np.ndarray,
-    hbar: float,
+    units: UnitSystem,
     rule: str,
 ) -> np.ndarray:
     """``I_jk(x, p) = int phi_j(x - y/2) phi_k*(x + y/2) e^{i p y/hbar} dy``
@@ -89,8 +66,9 @@ def _pair_integral_uniform(
     ``h = 2 pi / (omega_max + tail/s)`` keeps the aliasing error of the
     trapezoid sum at the level of the Gaussian tail itself.
     """
-    s, _ = _pair_scale(cj, ck)
-    mus = _pair_center(cj, ck, xs)
+    hbar = units.hbar
+    a_y, mus, _ = _pair_quadratic(cj, ck, xs, hbar)
+    s = 1 / math.sqrt(2 * a_y)
     lo = float(mus.min()) - _TAIL_SIGMAS * s
     hi = float(mus.max()) + _TAIL_SIGMAS * s
     qbar = 0.5 * (cj.p0 + ck.p0)
@@ -104,21 +82,12 @@ def _pair_integral_uniform(
     if rule == "simpson" and ny % 2 == 0:
         ny += 1
     ys = np.linspace(lo, hi, ny)
-    step = ys[1] - ys[0]
+    w = _uniform_weights(rule, ny, ys[1] - ys[0])
 
-    if rule == "trapezoid":
-        w = np.full(ny, step)
-        w[0] = w[-1] = step / 2
-    elif rule == "simpson":
-        w = np.full(ny, 2 * step / 3)
-        w[1::2] = 4 * step / 3
-        w[0] = w[-1] = step / 3
-    else:
-        raise ValueError(f"unsupported uniform rule {rule!r}")
+    def packet(c: GaussianComponent, u: np.ndarray) -> np.ndarray:
+        return psi_eval(CatSpec(components=(c,), coefficients=(1.0,), norm=1.0), u, units)
 
-    kern = _packet_eval(cj, xs[:, None] - ys[None, :] / 2, hbar) * np.conj(
-        _packet_eval(ck, xs[:, None] + ys[None, :] / 2, hbar)
-    )
+    kern = packet(cj, xs[:, None] - ys[None, :] / 2) * np.conj(packet(ck, xs[:, None] + ys[None, :] / 2))
     tone = w[:, None] * np.exp(1j * np.outer(ys, ps) / hbar)
     return kern @ tone
 
@@ -128,25 +97,23 @@ def _pair_quadratic(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Exact quadratic form of the chord product in ``y``.
 
-    Writes ``phi_j(x-y/2) phi_k*(x+y/2) = front * exp(-A (y-mu)^2 + D - i qbar y/hbar)``
+    Writes ``phi_j(x-y/2) phi_k*(x+y/2) = exp(-A (y-mu)^2 + D - i qbar y/hbar)``
     with ``qbar = (p0_j + p0_k)/2``; returns ``(A, mu(x), D(x))`` where
-    ``D`` is complex and its real part is non-positive.
+    ``D`` is complex.  ``1 / sqrt(2 A)`` is the Gaussian width in ``y``
+    and ``mu`` its centre, which place the quadrature nodes.
     """
     sj2, sk2 = cj.sigma**2, ck.sigma**2
     a_y = (sj2 + sk2) / (16 * sj2 * sk2)
     lin = (x - cj.x0) / (4 * sj2) - (x - ck.x0) / (4 * sk2)
     mu = lin / (2 * a_y)
     const = (
-        -((x - cj.x0) ** 2) / (4 * sj2)
+        -0.25 * math.log(4 * math.pi**2 * sj2 * sk2)
+        - ((x - cj.x0) ** 2) / (4 * sj2)
         - ((x - ck.x0) ** 2) / (4 * sk2)
         + 1j * ((cj.p0 - ck.p0) * x / hbar + (cj.phase - ck.phase))
     )
     d = lin**2 / (4 * a_y) + const
     return a_y, mu, d
-
-
-def _pair_front(cj: GaussianComponent, ck: GaussianComponent) -> float:
-    return (2 * math.pi * cj.sigma**2) ** -0.25 * (2 * math.pi * ck.sigma**2) ** -0.25
 
 
 def _pair_integral_hermite(
@@ -171,31 +138,13 @@ def _pair_integral_hermite(
     qbar = 0.5 * (cj.p0 + ck.p0)
     omega = (ps - qbar) / hbar  # (np,)
     phase = np.exp(1j * ys[:, :, None] * omega[None, None, :])  # (nx, order, np)
-    amp = _pair_front(cj, ck) * np.exp(d) / math.sqrt(a_y)  # (nx,)
+    amp = np.exp(d) / math.sqrt(a_y)  # (nx,)
     return amp[:, None] * np.einsum("t,xtp->xp", w, phase)
 
 
-def _pair_integral_exact(
-    cj: GaussianComponent,
-    ck: GaussianComponent,
-    x: np.ndarray,
-    p: np.ndarray,
-    hbar: float,
-) -> np.ndarray:
-    """Closed form of the pair integral (exact Gaussian integral).
-
-    ``x`` and ``p`` broadcast against each other.
-    """
-    a_y, mu, d = _pair_quadratic(cj, ck, x, hbar)
-    qbar = 0.5 * (cj.p0 + ck.p0)
-    omega = (p - qbar) / hbar
-    # int exp(-A (y-mu)^2 + i omega y) dy
-    #   = sqrt(pi/A) exp(i omega mu - omega^2 / (4A))
-    return (
-        _pair_front(cj, ck)
-        * math.sqrt(math.pi / a_y)
-        * np.exp(d + 1j * omega * mu - omega**2 / (4 * a_y))
-    )
+def _mirror(c: GaussianComponent) -> GaussianComponent:
+    """Parity image ``phi(-x)`` of a packet."""
+    return dataclasses.replace(c, x0=-c.x0, p0=-c.p0)
 
 
 def _sum_pairs(
@@ -218,6 +167,21 @@ def _sum_pairs(
         scaled = prob * cat.norm**2 * acc
         total = scaled if total is None else total + scaled
     return total / (2 * math.pi * hbar)
+
+
+def _oracle_sum(
+    state: CatSpec | MixedSpec,
+    xs: np.ndarray,
+    ps: np.ndarray,
+    units: UnitSystem,
+    quadrature: Quadrature,
+) -> np.ndarray:
+    """Quadrature-route Wigner values on the outer grid ``xs x ps``."""
+    if quadrature.rule == "gauss-hermite":
+        pair_fn = lambda cj, ck: _pair_integral_hermite(cj, ck, xs, ps, units.hbar, quadrature.order)
+    else:
+        pair_fn = lambda cj, ck: _pair_integral_uniform(cj, ck, xs, ps, units, quadrature.rule)
+    return _sum_pairs(state, units.hbar, pair_fn)
 
 
 def wigner_transform(
@@ -244,13 +208,8 @@ def wigner_transform(
     -------
     WignerField
     """
-    xs, ps = grid.xs(), grid.ps()
-    hbar = units.hbar
-    if quadrature.rule == "gauss-hermite":
-        pair_fn = lambda cj, ck: _pair_integral_hermite(cj, ck, xs, ps, hbar, quadrature.order)
-    else:
-        pair_fn = lambda cj, ck: _pair_integral_uniform(cj, ck, xs, ps, hbar, quadrature.rule)
-    return WignerField(grid=grid, values=_sum_pairs(state, hbar, pair_fn))
+    values = _oracle_sum(state, grid.xs(), grid.ps(), units, quadrature)
+    return WignerField(grid=grid, values=values)
 
 
 def wigner_point(
@@ -261,14 +220,8 @@ def wigner_point(
     quadrature: Quadrature = Quadrature(),
 ) -> float:
     """Single-point version of :func:`wigner_transform`."""
-    xs = np.array([float(x)])
-    ps = np.array([float(p)])
-    hbar = units.hbar
-    if quadrature.rule == "gauss-hermite":
-        pair_fn = lambda cj, ck: _pair_integral_hermite(cj, ck, xs, ps, hbar, quadrature.order)
-    else:
-        pair_fn = lambda cj, ck: _pair_integral_uniform(cj, ck, xs, ps, hbar, quadrature.rule)
-    return float(_sum_pairs(state, hbar, pair_fn)[0, 0])
+    xs, ps = np.array([float(x)]), np.array([float(p)])
+    return float(_oracle_sum(state, xs, ps, units, quadrature)[0, 0])
 
 
 def wigner_closed_eval(
@@ -282,10 +235,13 @@ def wigner_closed_eval(
     ``x`` and ``p`` broadcast against each other; the result has the
     broadcast shape.
     """
+    hbar = units.hbar
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
-    pair_fn = lambda cj, ck: _pair_integral_exact(cj, ck, x, p, units.hbar)
-    return _sum_pairs(state, units.hbar, pair_fn)
+    x2, p2 = 2 * x, 2 * p
+    phase = math.log(2) - 2j * x * p / hbar
+    pair_fn = lambda cj, ck: np.exp(_pair_exponent(ck, _mirror(cj), x2, p2, hbar) + phase)
+    return _sum_pairs(state, hbar, pair_fn)
 
 
 def wigner_closed(
@@ -294,8 +250,8 @@ def wigner_closed(
     units: UnitSystem = UnitSystem(),
 ) -> WignerField:
     """Wigner function from the exact per-pair Gaussian integrals."""
-    xm, pm = grid.meshgrid()
-    return WignerField(grid=grid, values=wigner_closed_eval(state, xm, pm, units))
+    values = wigner_closed_eval(state, grid.xs()[:, None], grid.ps()[None, :], units)
+    return WignerField(grid=grid, values=values)
 
 
 def wigner_closed_point(
@@ -306,65 +262,6 @@ def wigner_closed_point(
 ) -> float:
     """Single-point version of :func:`wigner_closed`."""
     return float(wigner_closed_eval(state, float(x), float(p), units))
-
-
-def wc1_closed(x, p, x0: float, sigma: float, units: UnitSystem = UnitSystem()):
-    """Wigner function of the position cat (packets at ``(+-x0, 0)``).
-
-    Two lobes at ``x = +-x0`` under a momentum Gaussian, plus an
-    oscillating interference band along ``x = 0`` with full amplitude 2
-    and fringe ``cos(2 p x0 / hbar)``.
-    """
-    hbar = units.hbar
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    n1sq = 1.0 / (2 * (1 + math.exp(-(x0**2) / (2 * sigma**2))))
-    env = np.exp(-2 * sigma**2 * p**2 / hbar**2)
-    return (n1sq / (math.pi * hbar)) * env * (
-        np.exp(-((x - x0) ** 2) / (2 * sigma**2))
-        + np.exp(-((x + x0) ** 2) / (2 * sigma**2))
-        + 2 * np.exp(-(x**2) / (2 * sigma**2)) * np.cos(2 * p * x0 / hbar)
-    )
-
-
-def wc2_closed(x, p, p0: float, sigma: float, units: UnitSystem = UnitSystem()):
-    """Wigner function of the momentum cat (packets at ``(0, +-p0)``)."""
-    hbar = units.hbar
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    n2sq = 1.0 / (2 * (1 + math.exp(-2 * p0**2 * sigma**2 / hbar**2)))
-    env = np.exp(-(x**2) / (2 * sigma**2))
-    return (n2sq / (math.pi * hbar)) * env * (
-        np.exp(-2 * sigma**2 * (p - p0) ** 2 / hbar**2)
-        + np.exp(-2 * sigma**2 * (p + p0) ** 2 / hbar**2)
-        + 2 * np.exp(-2 * sigma**2 * p**2 / hbar**2) * np.cos(2 * p0 * x / hbar)
-    )
-
-
-def wrho_closed(x, p, x0: float, p0: float, sigma: float, units: UnitSystem = UnitSystem()):
-    """Wigner function of the even mixture of position and momentum cats."""
-    return 0.5 * (wc1_closed(x, p, x0, sigma, units) + wc2_closed(x, p, p0, sigma, units))
-
-
-def wrho_perturbed(
-    x,
-    p,
-    delta1: float,
-    delta2: float,
-    x0: float,
-    p0: float,
-    sigma: float,
-    units: UnitSystem = UnitSystem(),
-):
-    """Mixed-cat Wigner function displaced by ``(delta1, delta2)``.
-
-    ``delta1`` boosts the state along momentum and ``delta2`` shifts it
-    along position, i.e. the perturbed function is the rigid translate
-    ``W(x + delta2, p + delta1)``.
-    """
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    return wrho_closed(x + delta2, p + delta1, x0, p0, sigma, units)
 
 
 def characteristic_of_cat(
@@ -384,59 +281,11 @@ def characteristic_of_cat(
     P = np.asarray(P, dtype=float)
     out = np.zeros(np.broadcast(Q, P).shape, dtype=complex)
     for prob, cat in _branches(state):
-        acc = np.zeros_like(out)
-        for j, cj in enumerate(cat.components):
-            for k, ck in enumerate(cat.components):
-                sj2, sk2 = cj.sigma**2, ck.sigma**2
-                alpha = 1 / (4 * sj2) + 1 / (4 * sk2)
-                beta = (
-                    (cj.x0 + Q / 2) / (2 * sj2)
-                    + (ck.x0 - Q / 2) / (2 * sk2)
-                    + 1j * (cj.p0 - ck.p0 - P) / hbar
-                )
-                gamma = (
-                    -((cj.x0 + Q / 2) ** 2) / (4 * sj2)
-                    - ((ck.x0 - Q / 2) ** 2) / (4 * sk2)
-                    - 1j * (cj.p0 + ck.p0) * Q / (2 * hbar)
-                    + 1j * (cj.phase - ck.phase)
-                )
-                weight = cat.coefficients[j] * np.conj(cat.coefficients[k])
-                acc += weight * _pair_front(cj, ck) * math.sqrt(math.pi / alpha) * np.exp(
-                    beta**2 / (4 * alpha) + gamma
-                )
-        out += prob * cat.norm**2 * acc
-    return out
-
-
-def char_cat_position(Q, P, x0: float, sigma: float, units: UnitSystem = UnitSystem()):
-    """Characteristic function of the position cat, explicit form.
-
-    Lobes map to an oscillating term at the origin and the interference
-    band maps to displaced Gaussians at ``Q = +-2 x0`` — the mirror
-    image of the roles they play in the Wigner function.
-    """
-    hbar = units.hbar
-    Q = np.asarray(Q, dtype=float)
-    P = np.asarray(P, dtype=float)
-    n1sq = 1.0 / (2 * (1 + math.exp(-(x0**2) / (2 * sigma**2))))
-    return n1sq * np.exp(-(sigma**2) * P**2 / (2 * hbar**2)) * (
-        2 * np.cos(x0 * P / hbar) * np.exp(-(Q**2) / (8 * sigma**2))
-        + np.exp(-((Q - 2 * x0) ** 2) / (8 * sigma**2))
-        + np.exp(-((Q + 2 * x0) ** 2) / (8 * sigma**2))
-    )
-
-
-def char_cat_momentum(Q, P, p0: float, sigma: float, units: UnitSystem = UnitSystem()):
-    """Characteristic function of the momentum cat, explicit form."""
-    hbar = units.hbar
-    Q = np.asarray(Q, dtype=float)
-    P = np.asarray(P, dtype=float)
-    n2sq = 1.0 / (2 * (1 + math.exp(-2 * p0**2 * sigma**2 / hbar**2)))
-    return n2sq * np.exp(-(Q**2) / (8 * sigma**2)) * (
-        2 * np.cos(p0 * Q / hbar) * np.exp(-(sigma**2) * P**2 / (2 * hbar**2))
-        + np.exp(-(sigma**2) * (P - 2 * p0) ** 2 / (2 * hbar**2))
-        + np.exp(-(sigma**2) * (P + 2 * p0) ** 2 / (2 * hbar**2))
-    )
+        for c_j, cj in zip(cat.coefficients, cat.components):
+            for c_k, ck in zip(cat.coefficients, cat.components):
+                weight = prob * cat.norm**2 * c_j * c_k.conjugate()
+                out += weight * np.exp(_pair_exponent(ck, cj, Q, -P, hbar))
+    return np.exp(0.5j * Q * P / hbar) * out
 
 
 def wigner_of_fock(
@@ -477,7 +326,6 @@ def wigner_of_fock(
     h = 2 * math.pi * hbar / (p_absmax + p_r)
     ny = max(int(math.ceil(4 * x_r / h)) + 1, 16)
     ys = np.linspace(-2 * x_r, 2 * x_r, ny)
-    step = ys[1] - ys[0]
 
     def psi_on(u: np.ndarray) -> np.ndarray:
         xi = u / (sigma_ref * math.sqrt(2))
@@ -490,8 +338,7 @@ def wigner_of_fock(
         return out
 
     kern = psi_on(xs[:, None] - ys[None, :] / 2) * np.conj(psi_on(xs[:, None] + ys[None, :] / 2))
-    w = np.full(ny, step)
-    w[0] = w[-1] = step / 2
+    w = _uniform_weights("trapezoid", ny, ys[1] - ys[0])
     tone = w[:, None] * np.exp(1j * np.outer(ys, ps) / hbar)
     values = (kern @ tone).real / (2 * math.pi * hbar)
     return WignerField(grid=grid, values=values)

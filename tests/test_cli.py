@@ -11,11 +11,15 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import subplanck
 from conftest import P0, SIGMA, X0
 from subplanck.cli import main
 
@@ -447,3 +451,43 @@ class TestBoundaryProperties:
         cfg.write_text(json.dumps({"nt": 3, "t-max": 1}))
         assert run_cli(tmp_path, "decohere", "--config", str(cfg)) == 0
         assert read_json(tmp_path, "decohere")["params"]["t_max"] == 1.0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("decohere", "--nt", "abc"),
+            ("decohere", "--gamma", "-inf"),
+            ("sensitivity", "--no-such-flag"),
+            ("bogus",),
+            (),
+        ],
+        ids=["bad-int", "negative-inf-as-two-tokens", "unknown-flag", "unknown-command", "no-command"],
+    )
+    def test_parser_error_exits_2_with_json(self, tmp_path, argv):
+        rc, stderr = run_captured(tmp_path, *argv)
+        error = assert_usage_error(rc, stderr, tmp_path, argv[0] if argv else "decohere")
+        assert error["kind"] == "ConfigError"
+        assert "usage:" not in stderr
+
+    @pytest.mark.parametrize("argv", [["--help"], ["decohere", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+
+def test_import_skips_unused_scipy_modules():
+    # scipy.integrate and scipy.stats took about 0.6 s of every CLI start
+    # for one function each (simpson, poisson.sf); core builds its own
+    # Simpson weights and states uses scipy.special.pdtrc.
+    src = os.path.dirname(os.path.dirname(subplanck.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import sys, subplanck.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.integrate', 'scipy.stats'))))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert proc.stdout.strip() == "[]"

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from conftest import P0, SIGMA, X0
+from oracles import wc1_closed, wc2_closed, wrho_closed
 
 from subplanck.core import ResolutionError, UnitSystem, linspace_grid
 from subplanck.interference import (
@@ -17,7 +18,7 @@ from subplanck.interference import (
     zero_condition_residual,
 )
 from subplanck.states import CatSpec, GaussianComponent
-from subplanck.wigner import wc1_closed, wc2_closed, wigner_closed, wrho_closed
+from subplanck.wigner import wigner_closed
 
 HBAR = 1.0
 X1 = math.pi * HBAR / (4 * P0)  # first zero line at constant x

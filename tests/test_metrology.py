@@ -345,8 +345,8 @@ class TestOrthogonalitySearch:
 
 
 class TestEffectiveModel:
-    def test_fitted_coefficients(self, scan):
-        fit = fit_effective_coefficients(scan, X0, P0, SIGMA)
+    def test_fitted_coefficients(self, mixed, units):
+        fit = fit_effective_coefficients(mixed, X0, P0, SIGMA, units)
         assert fit["coef_cos_delta1"] == pytest.approx(0.25, abs=1e-8)
         assert fit["coef_cos_delta2"] == pytest.approx(0.25, abs=1e-8)
         assert fit["coef_const"] == pytest.approx(0.5, abs=1e-8)
