@@ -279,15 +279,16 @@ def write_json(obj, path: str) -> None:
 
 
 def field_to_csv(field: WignerField, path: str) -> None:
-    """Write a sampled field as ``x,p,w`` rows (x-major order)."""
-    xs = field.grid.xs()
-    ps = field.grid.ps()
+    """Write a sampled field as ``x,p,w`` rows (x-major order).
+
+    Every number is written as ``repr`` of the Python float that
+    ``tolist()`` returns, the same text :func:`_format_float` gives.
+    """
+    p_text = [repr(p) for p in field.grid.ps().tolist()]
     lines = ["x,p,w"]
-    for i in range(field.grid.nx):
-        xi = _format_float(xs[i])
-        row = field.values[i]
-        for j in range(field.grid.np):
-            lines.append(f"{xi},{_format_float(ps[j])},{_format_float(row[j])}")
+    for x, row in zip(field.grid.xs().tolist(), field.values.tolist()):
+        head = f"{x!r},"
+        lines.append("\n".join([f"{head}{p},{w!r}" for p, w in zip(p_text, row)]))
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 

@@ -19,7 +19,6 @@ so ``sigma`` is the position standard deviation of a single packet.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -398,20 +397,6 @@ def coherent_to_gaussian(
     )
 
 
-def _coherent_projection(state: FockVector, betas: np.ndarray) -> np.ndarray:
-    """``<beta_i | psi>`` for an array of coherent amplitudes."""
-    n = np.arange(state.amplitudes.size)
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, state.amplitudes.size)))))
-    out = np.empty(betas.size, dtype=complex)
-    for i, b in enumerate(betas):
-        if abs(b) == 0:
-            out[i] = state.amplitudes[0]
-            continue
-        weights = np.exp(-abs(b) ** 2 / 2 + n * np.log(np.conj(b)) - log_fact / 2)
-        out[i] = np.sum(weights * state.amplitudes)
-    return out
-
-
 def kerr_component_count(
     state: FockVector,
     radius: float,
@@ -482,13 +467,11 @@ def kerr_component_count(
 
     def fidelity_of(angles: np.ndarray) -> float:
         """Least-squares fidelity of a coherent superposition at ``angles``."""
-        betas = radius * np.exp(1j * np.asarray(angles))
-        gram = np.empty((m, m), dtype=complex)
-        for i in range(m):
-            for j in range(m):
-                bi, bj = betas[i], betas[j]
-                gram[i, j] = cmath.exp(-(abs(bi) ** 2 + abs(bj) ** 2) / 2 + np.conj(bi) * bj)
-        b = _coherent_projection(state, betas)
+        angles = np.asarray(angles)
+        # <beta_i|beta_j> = exp(r^2 (e^{i(theta_j - theta_i)} - 1)) on the circle
+        gram = np.exp(radius**2 * (np.exp(1j * (angles[None, :] - angles[:, None])) - 1))
+        # <beta_i|psi> = sum_n d_n e^{-i n theta_i}, the series the scan sums by FFT
+        b = d @ np.exp(-1j * np.outer(n, angles))
         try:
             coef = np.linalg.solve(gram, b)
         except np.linalg.LinAlgError:

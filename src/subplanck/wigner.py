@@ -131,15 +131,22 @@ def _pair_integral_hermite(
     so only the residual tone is sampled at the nodes.  Accurate while
     the tone completes few cycles across the Gaussian; for fast tones
     prefer the uniform rules.
+
+    The nodes sit at ``y = mu(x) + t / sqrt(A)``, so the tone
+    ``exp(i y omega(p))`` factors into ``exp(i mu(x) omega(p))`` times
+    ``S(p) = sum_t w_t exp(i t omega(p) / sqrt(A))``, which does not
+    depend on ``x``.  The node sum is therefore taken once per momentum,
+    and a pair costs ``O(order * np + nx * np)`` rather than
+    ``O(nx * order * np)``.  ``S`` is summed at the nodes, not replaced
+    by its limit, so the route stays an independent quadrature.
     """
     t, w = roots_hermite(order)
     a_y, mu, d = _pair_quadratic(cj, ck, xs, hbar)
-    ys = mu[:, None] + t[None, :] / math.sqrt(a_y)  # (nx, order)
     qbar = 0.5 * (cj.p0 + ck.p0)
     omega = (ps - qbar) / hbar  # (np,)
-    phase = np.exp(1j * ys[:, :, None] * omega[None, None, :])  # (nx, order, np)
+    node_sum = np.exp(1j * np.outer(omega, t) / math.sqrt(a_y)) @ w  # (np,)
     amp = np.exp(d) / math.sqrt(a_y)  # (nx,)
-    return amp[:, None] * np.einsum("t,xtp->xp", w, phase)
+    return amp[:, None] * np.exp(1j * np.outer(mu, omega)) * node_sum[None, :]
 
 
 def _mirror(c: GaussianComponent) -> GaussianComponent:

@@ -2,14 +2,19 @@
 
 Each is written out by hand for one equal-width, zero-phase state, so
 it shares no code with the general packet-pair routes in
-:mod:`subplanck.wigner` that the tests check against it.
+:mod:`subplanck.wigner` that the tests check against it.  The direct
+Gauss-Hermite node sum is kept here as the reference for the factored
+sum the package evaluates.
 """
 
 import math
 
 import numpy as np
+from scipy.special import roots_hermite
 
 from subplanck.core import UnitSystem
+from subplanck.states import GaussianComponent
+from subplanck.wigner import _pair_quadratic
 
 
 def wc1_closed(x, p, x0: float, sigma: float, units: UnitSystem = UnitSystem()):
@@ -79,3 +84,27 @@ def char_cat_momentum(Q, P, p0: float, sigma: float, units: UnitSystem = UnitSys
         + np.exp(-(sigma**2) * (P - 2 * p0) ** 2 / (2 * hbar**2))
         + np.exp(-(sigma**2) * (P + 2 * p0) ** 2 / (2 * hbar**2))
     )
+
+
+def pair_integral_hermite_direct(
+    cj: GaussianComponent,
+    ck: GaussianComponent,
+    xs: np.ndarray,
+    ps: np.ndarray,
+    hbar: float,
+    order: int,
+) -> np.ndarray:
+    """Gauss-Hermite pair integral as the plain node sum.
+
+    Samples the tone ``exp(i y omega(p))`` at every node
+    ``y = mu(x) + t / sqrt(A)`` for every ``(x, p)``, an
+    ``(nx, order, np)`` array, and contracts it with the weights.
+    """
+    t, w = roots_hermite(order)
+    a_y, mu, d = _pair_quadratic(cj, ck, xs, hbar)
+    ys = mu[:, None] + t[None, :] / math.sqrt(a_y)  # (nx, order)
+    qbar = 0.5 * (cj.p0 + ck.p0)
+    omega = (ps - qbar) / hbar  # (np,)
+    phase = np.exp(1j * ys[:, :, None] * omega[None, None, :])  # (nx, order, np)
+    amp = np.exp(d) / math.sqrt(a_y)  # (nx,)
+    return amp[:, None] * np.einsum("t,xtp->xp", w, phase)

@@ -194,6 +194,24 @@ class TestWriters:
         first = lines[1].split(",")
         assert float(first[0]) == -1.0 and float(first[1]) == -1.0
 
+    def test_field_to_csv_matches_per_cell_repr(self, tmp_path):
+        def reference_csv(field):
+            xs, ps = field.grid.xs(), field.grid.ps()
+            lines = ["x,p,w"]
+            for i in range(field.grid.nx):
+                for j in range(field.grid.np):
+                    cells = (xs[i], ps[j], field.values[i, j])
+                    lines.append(",".join(repr(float(v)) for v in cells))
+            return "\n".join(lines) + "\n"
+
+        g = PhaseSpaceGrid(x_min=-0.3, x_max=1.7, p_min=-2.0, p_max=0.1 + 0.2, nx=3, np=7)
+        values = np.random.default_rng(7).normal(size=(3, 7)) * 1e3
+        values[0, :5] = [-0.0, 1e-5, 5e-324, 1e16, 0.1 + 0.2]
+        f = WignerField(grid=g, values=values)
+        path = tmp_path / "f.csv"
+        field_to_csv(f, str(path))
+        assert path.read_text() == reference_csv(f)
+
     def test_field_summary_keys(self):
         f = gaussian_field(linspace_grid(8.0, 8.0, 81, 81))
         s = field_summary(f)

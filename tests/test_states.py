@@ -186,6 +186,12 @@ class TestKerr:
         state = kerr_evolve(2.0, kt, cutoff=48)
         assert kerr_component_count(state, 2.0) == count
 
+    @pytest.mark.parametrize("kt,count", [(math.pi / 3, 6), (math.pi / 4, 8)])
+    def test_component_counts_alpha_3(self, kt, count):
+        # H = (hbar kappa / 2) n^2, so kappa t = pi / m splits the state into 2m components.
+        state = kerr_evolve(3.0, kt)
+        assert kerr_component_count(state, 3.0) == count
+
     def test_component_count_small_radius(self):
         state = kerr_evolve(0.0, 1.0)
         assert kerr_component_count(state, 0.0) == 1

@@ -8,7 +8,14 @@ import pytest
 from conftest import P0, SIGMA, X0
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import char_cat_momentum, char_cat_position, wc1_closed, wc2_closed, wrho_closed
+from oracles import (
+    char_cat_momentum,
+    char_cat_position,
+    pair_integral_hermite_direct,
+    wc1_closed,
+    wc2_closed,
+    wrho_closed,
+)
 
 from subplanck.core import PhaseSpaceGrid, Quadrature, UnitSystem, integrate_2d, linspace_grid
 from subplanck.states import (
@@ -24,6 +31,7 @@ from subplanck.states import (
 )
 from subplanck.wigner import (
     CoverageError,
+    _pair_integral_hermite,
     characteristic_of_cat,
     check_coverage,
     compare_closed_vs_oracle,
@@ -106,6 +114,15 @@ class TestOracleAgreement:
             state, grid, units, Quadrature(rule="gauss-hermite", order=96)
         )
         assert report["max_abs_diff"] < 1e-9
+
+    def test_gauss_hermite_converges_at_high_order(self, mixed, units):
+        # The cat fringes need about 384 nodes; the default order 64 does
+        # not converge here.
+        grid = linspace_grid(X0 + 8 * SIGMA, P0 + 4 / SIGMA, 41, 41)
+        report = compare_closed_vs_oracle(
+            mixed, grid, units, Quadrature(rule="gauss-hermite", order=384)
+        )
+        assert report["max_abs_diff"] < 1e-10 * report["max_abs_value"]
 
     def test_point_route_matches_closed(self, mixed, units):
         got = wigner_point(mixed, 0.4, -1.3, units)
@@ -262,20 +279,23 @@ class TestCoverage:
 SEEDED = settings(max_examples=15, deadline=None, derandomize=True, database=None)
 
 
+def draw_packet(draw) -> GaussianComponent:
+    """A packet of random width, off-axis centre and phase, drawn with
+    ``draw`` inside a composite strategy or from ``st.data()``."""
+    return GaussianComponent(
+        sigma=draw(st.floats(0.3, 1.0)),
+        x0=draw(st.floats(-3.0, 3.0)),
+        p0=draw(st.floats(-4.0, 4.0)),
+        phase=draw(st.floats(-math.pi, math.pi)),
+    )
+
+
 @st.composite
 def packet_cats(draw, n_max: int, hbar: float) -> CatSpec:
     """1 to ``n_max`` packets of unequal widths, off-axis centres, phases
     and complex weights, normalized by quadrature of the wave function."""
     n = draw(st.integers(1, n_max))
-    comps = tuple(
-        GaussianComponent(
-            sigma=draw(st.floats(0.3, 1.0)),
-            x0=draw(st.floats(-3.0, 3.0)),
-            p0=draw(st.floats(-4.0, 4.0)),
-            phase=draw(st.floats(-math.pi, math.pi)),
-        )
-        for _ in range(n)
-    )
+    comps = tuple(draw_packet(draw) for _ in range(n))
     coefs = tuple(
         cmath.rect(draw(st.floats(0.2, 1.0)), draw(st.floats(-math.pi, math.pi))) for _ in range(n)
     )
@@ -348,3 +368,16 @@ class TestGeneralPackets:
         )
         got = characteristic_of_cat(state, Q, P, units)
         assert np.max(np.abs(got - want)) < 1e-10
+
+
+@SEEDED
+@given(st.data(), st.floats(0.4, 0.9), st.integers(16, 400))
+def test_hermite_node_sum_factors(data, hbar, order):
+    """The factored Gauss-Hermite sum equals the plain node sum over the
+    ``(nx, order, np)`` tone array."""
+    cj, ck = draw_packet(data.draw), draw_packet(data.draw)
+    xs = np.linspace(-4.0, 4.0, 9)
+    ps = np.linspace(-6.0, 6.0, 11)
+    got = _pair_integral_hermite(cj, ck, xs, ps, hbar, order)
+    want = pair_integral_hermite_direct(cj, ck, xs, ps, hbar, order)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
