@@ -123,7 +123,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     common.add_argument("--config", type=str, default=None, help="JSON file with option defaults")
     common.add_argument("--out", type=str, default=".", help="output directory")
     common.add_argument("--hbar", type=float, default=1.0, help="value of hbar")
-    common.add_argument("--threads", type=int, default=1, help="worker threads for row sweeps")
+    common.add_argument(
+        "--threads", type=int, default=1, help="accepted for compatibility; has no effect"
+    )
     common.add_argument(
         "--format", choices=("csv", "json", "both"), default="both", help="artifact formats"
     )
@@ -309,8 +311,9 @@ def _write_outputs(args, name: str, payload: dict, csv_text: str | None = None, 
 
 
 def _params_echo(args, keys: list[str]) -> dict:
-    # deliberately excludes --threads: parallelism must never show up in
-    # the artifacts, which are byte-identical across worker counts
+    # deliberately excludes --threads: the option is accepted for
+    # compatibility and has no effect, and the artifacts must stay
+    # byte-identical whatever value it is given
     out = {"hbar": args.hbar}
     for key in keys:
         out[key.rstrip("_")] = getattr(args, key)
@@ -428,9 +431,7 @@ def _cmd_decohere(args, units: UnitSystem) -> None:
         )
     t_max = args.t_max if args.t_max is not None else 4 * taus["threshold_1.0"]
     times = np.linspace(0.0, t_max, args.nt)
-    rows = attenuation_curve(
-        bath, offset, args.sigma, times, units, kind=args.kind, threads=args.threads
-    )
+    rows = attenuation_curve(bath, offset, args.sigma, times, units, kind=args.kind)
     if args.kind == "position":
         tau_linear = tau_formula_position(bath, offset, units)
     else:

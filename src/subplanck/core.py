@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,20 +231,6 @@ def integrate_2d(field: WignerField, rule: str = "trapezoid") -> float:
         raise InvalidFieldError("field contains non-finite samples")
     g = field.grid
     return float(_uniform_weights(rule, g.nx, g.dx) @ v @ _uniform_weights(rule, g.np, g.dp))
-
-
-def parallel_map(fn, items, threads: int = 1) -> list:
-    """Map ``fn`` over ``items`` preserving order.
-
-    With ``threads > 1`` the calls run on a thread pool; results are
-    returned in input order either way, so output is independent of the
-    thread count as long as ``fn`` is pure.
-    """
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _format_float(v: float) -> str:

@@ -35,7 +35,6 @@ from subplanck.core import (
     WignerField,
     WindowError,
     _uniform_weights,
-    parallel_map,
 )
 from subplanck.metrology import SearchError
 from subplanck.states import CatSpec, MixedSpec
@@ -62,51 +61,63 @@ class BathParams:
             raise ValueError(f"temperature must be non-negative, got {self.temperature}")
 
 
-def green_function(bath: BathParams, t: float) -> tuple[float, float, float]:
+# The closed forms below broadcast over ``t`` and return arrays of its
+# shape.  Powers of t-dependent values are written as products: numpy's
+# ``**`` rounds differently on a scalar than on an array, and a curve
+# row must equal the scalar call bit for bit.
+
+
+def green_function(bath: BathParams, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Damped Green function ``G`` and its first two time derivatives.
 
     ``G(t) = (1 - e^{-gamma t}) / (m gamma)``, with the ``gamma -> 0``
     limit ``(t/m, 1/m, 0)`` taken exactly.
     """
+    t = np.asarray(t, dtype=float)
     m, g = bath.mass, bath.gamma
     if g == 0.0:
-        return t / m, 1.0 / m, 0.0
-    e = math.exp(-g * t)
-    return -math.expm1(-g * t) / (m * g), e / m, -g * e / m
+        return t / m, np.full_like(t, 1.0 / m), np.zeros_like(t)
+    e = np.exp(-g * t)
+    return -np.expm1(-g * t) / (m * g), e / m, -g * e / m
 
 
-def _xx_bracket(u: float) -> float:
+def _xx_bracket(u: np.ndarray) -> np.ndarray:
     """``2u - (1 - e^-u)(3 - e^-u)`` without catastrophic cancellation.
 
     The bracket is O(u^3) while its pieces are O(u), so the naive form
     loses all significance for small ``u`` (it can even go negative).
     Rewriting via ``expm1`` keeps full relative accuracy down to
-    ``u ~ 0.02``; below that an alternating series takes over.
+    ``u ~ 0.02``; below that an alternating series takes over.  The
+    series runs on ``min(u, 0.02)``, so large ``u`` cannot overflow it.
     """
-    if u < 0.02:
-        # 2u - 3 + 4 e^-u - e^-2u = sum_{n>=3} (-1)^n (4 - 2^n)/n! u^n
-        return (
-            u**3
-            * (2.0 / 3.0 - u * (0.5 - u * (7.0 / 30.0 - u * (1.0 / 12.0 - u * 31.0 / 1260.0))))
-        )
-    em1 = math.expm1(-u)  # e^-u - 1, relative accuracy eps
-    return 2.0 * (u + em1) - em1 * em1
+    # 2u - 3 + 4 e^-u - e^-2u = sum_{n>=3} (-1)^n (4 - 2^n)/n! u^n
+    s = np.minimum(u, 0.02)
+    series = (
+        s * s * s
+        * (2.0 / 3.0 - s * (0.5 - s * (7.0 / 30.0 - s * (1.0 / 12.0 - s * 31.0 / 1260.0))))
+    )
+    em1 = np.expm1(-u)  # e^-u - 1, relative accuracy eps
+    return np.where(u < 0.02, series, 2.0 * (u + em1) - em1 * em1)
 
 
-def bath_moments(bath: BathParams, t: float, units: UnitSystem = UnitSystem()) -> tuple[float, float, float]:
+def bath_moments(
+    bath: BathParams, t, units: UnitSystem = UnitSystem()
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Brownian-motion moments ``<X^2>``, ``<XV + VX>``, ``<V^2>``.
 
     These vanish identically when ``gamma`` or ``T`` is zero; at short
     times they grow as ``t^3``, ``t^2`` and ``t`` respectively.
     """
+    t = np.asarray(t, dtype=float)
     m, g = bath.mass, bath.gamma
     kT = units.kB * bath.temperature
     if g == 0.0 or kT == 0.0:
-        return 0.0, 0.0, 0.0
-    one_minus_e = -math.expm1(-g * t)
+        zero = np.zeros_like(t)
+        return zero, zero, zero
+    one_minus_e = -np.expm1(-g * t)
     xx = kT / (m * g * g) * _xx_bracket(g * t)
-    xv = 2 * kT / (m * g) * one_minus_e**2
-    vv = -kT / m * math.expm1(-2 * g * t)
+    xv = 2 * kT / (m * g) * (one_minus_e * one_minus_e)
+    vv = -kT / m * np.expm1(-2 * g * t)
     return xx, xv, vv
 
 
@@ -128,49 +139,57 @@ def evolve_phase_point(bath: BathParams, t: float, x: float, p: float) -> tuple[
     return float(v[0]), float(v[1])
 
 
+Sym2 = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 def _covariance_parts(
-    bath: BathParams, t: float, sigma: float, units: UnitSystem
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    bath: BathParams, t, sigma: float, units: UnitSystem
+) -> tuple[Sym2, Sym2, Sym2]:
     """Evolved packet covariance split into its three PSD pieces.
 
     Returns ``(As, Ah, D)``: the propagated position-spread part
     ``sigma^2 u u^T``, the propagated momentum-spread part
     ``(hbar^2/4 sigma^2) v v^T`` (with ``u, v`` the columns of the
-    flow matrix), and the bath-diffusion part.  Their sum is the full
-    covariance of an evolved single packet.
+    flow matrix), and the bath-diffusion part.  Each is a symmetric
+    2x2 matrix stored as its entries ``(a11, a12, a22)``.  Their sum is
+    the full covariance of an evolved single packet.
     """
     G, Gd, Gdd = green_function(bath, t)
     m = bath.mass
-    u = np.array([m * Gd, m * m * Gdd])
-    v = np.array([G, m * Gd])
+    u1, u2 = m * Gd, m * m * Gdd
+    v1, v2 = G, m * Gd
     xx, xv, vv = bath_moments(bath, t, units)
-    D = np.array([[xx, m * xv / 2], [m * xv / 2, m * m * vv]])
-    As = sigma**2 * np.outer(u, u)
-    Ah = (units.hbar**2 / (4 * sigma**2)) * np.outer(v, v)
+    s2 = sigma**2
+    h = units.hbar**2 / (4 * sigma**2)
+    As = (s2 * (u1 * u1), s2 * (u1 * u2), s2 * (u2 * u2))
+    Ah = (h * (v1 * v1), h * (v1 * v2), h * (v2 * v2))
+    D = (xx, m * xv / 2, m * m * vv)
     return As, Ah, D
 
 
-def a_coefficients(
-    bath: BathParams, t: float, sigma: float, units: UnitSystem = UnitSystem()
-) -> tuple[float, float, float]:
+def _add(first: Sym2, *rest: Sym2) -> Sym2:
+    """Entrywise sum, accumulated left to right."""
+    return tuple(sum(others, a) for a, *others in zip(first, *rest))
+
+
+def a_coefficients(bath: BathParams, t, sigma: float, units: UnitSystem = UnitSystem()) -> Sym2:
     """Entries ``(A11, A12, A22)`` of the evolved packet covariance.
 
     ``A11`` is the position variance, ``A22`` the momentum variance and
     ``A12`` the symmetrized cross moment of a single Gaussian packet of
     initial spread ``sigma`` after time ``t`` of bath contact.
     """
-    As, Ah, D = _covariance_parts(bath, t, sigma, units)
-    A = As + Ah + D
-    return float(A[0, 0]), float(A[0, 1]), float(A[1, 1])
+    return _add(*_covariance_parts(bath, t, sigma, units))
 
 
-def _det2(a: np.ndarray) -> float:
-    return float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
+def _det2(a: Sym2) -> np.ndarray:
+    a11, a12, a22 = a
+    return a11 * a22 - a12 * a12
 
 
 def attenuation_exponent(
     bath: BathParams,
-    t: float,
+    t,
     offset: float,
     sigma: float,
     units: UnitSystem = UnitSystem(),
@@ -193,14 +212,19 @@ def attenuation_exponent(
     with slope ``(2 offset)^2 m gamma kB T / hbar^2`` while ``A_p``
     grows only cubically: the bath couples to position, so
     momentum-direction fringes decay solely through position diffusion.
+
+    ``t`` may be an array; the result has its shape, and is a float for
+    a scalar ``t``.
     """
     if kind not in ("position", "momentum"):
         raise ValueError(f"unknown kind {kind!r}")
     As, Ah, D = _covariance_parts(bath, t, sigma, units)
-    det_full = _det2(As + Ah + D)
+    det_full = _det2(_add(As, Ah, D))
     if kind == "position":
-        return offset**2 / (2 * sigma**2) * _det2(As + D) / det_full
-    return 2 * offset**2 * sigma**2 / units.hbar**2 * _det2(Ah + D) / det_full
+        a = offset**2 / (2 * sigma**2) * _det2(_add(As, D)) / det_full
+    else:
+        a = 2 * offset**2 * sigma**2 / units.hbar**2 * _det2(_add(Ah, D)) / det_full
+    return float(a) if a.ndim == 0 else a
 
 
 def attenuation_numeric(
@@ -316,15 +340,11 @@ def attenuation_curve(
     times,
     units: UnitSystem = UnitSystem(),
     kind: str = "position",
-    threads: int = 1,
 ) -> list[tuple[float, float, float]]:
     """Rows ``(t, attenuation, visibility)`` with ``visibility = e^-A``."""
-
-    def row(t: float) -> tuple[float, float, float]:
-        a = attenuation_exponent(bath, t, offset, sigma, units, kind)
-        return (t, a, math.exp(-a))
-
-    return parallel_map(row, [float(t) for t in times], threads)
+    t = np.asarray(times, dtype=float)
+    a = attenuation_exponent(bath, t, offset, sigma, units, kind)
+    return list(zip(t.tolist(), a.tolist(), np.exp(-a).tolist()))
 
 
 def evolve_characteristic(

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import irfft2, next_fast_len, rfft2
-from scipy.interpolate import RegularGridInterpolator
 from scipy.optimize import minimize_scalar
 
 from subplanck.core import (
@@ -159,20 +158,6 @@ class OverlapScan:
         return self.value(delta1, delta2) / self.o00
 
 
-def overlap(
-    state: CatSpec | MixedSpec,
-    delta1: float,
-    delta2: float,
-    grid: PhaseSpaceGrid,
-    units: UnitSystem = UnitSystem(),
-    rule: str = "trapezoid",
-    normalize: bool = False,
-) -> float:
-    """One-shot displacement overlap (see :class:`OverlapScan`)."""
-    scan = OverlapScan(state, grid, units, rule)
-    return scan.unit(delta1, delta2) if normalize else scan.value(delta1, delta2)
-
-
 @dataclass(frozen=True)
 class OverlapMap:
     """Overlap on a lag grid, from FFT autocorrelation of a field.
@@ -191,12 +176,6 @@ class OverlapMap:
     delta1s: np.ndarray
     delta2s: np.ndarray
     values: np.ndarray
-
-    def interpolator(self):
-        """Cubic interpolator ``f((delta2, delta1)) -> O``."""
-        return RegularGridInterpolator(
-            (self.delta2s, self.delta1s), self.values, method="cubic"
-        )
 
     def at_origin(self) -> float:
         i = int(np.argmin(np.abs(self.delta2s)))

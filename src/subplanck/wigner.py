@@ -122,9 +122,12 @@ def _pair_integral_hermite(
     xs: np.ndarray,
     ps: np.ndarray,
     hbar: float,
-    order: int,
+    nodes: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """Gauss-Hermite evaluation of the same pair integral.
+
+    ``nodes`` are the Hermite nodes and weights ``(t, w)``, the same for
+    every pair, so the caller computes them once per field.
 
     The Gaussian factor is absorbed into the Hermite weight
     analytically (evaluating it and dividing back out would overflow),
@@ -140,7 +143,7 @@ def _pair_integral_hermite(
     ``O(nx * order * np)``.  ``S`` is summed at the nodes, not replaced
     by its limit, so the route stays an independent quadrature.
     """
-    t, w = roots_hermite(order)
+    t, w = nodes
     a_y, mu, d = _pair_quadratic(cj, ck, xs, hbar)
     qbar = 0.5 * (cj.p0 + ck.p0)
     omega = (ps - qbar) / hbar  # (np,)
@@ -185,7 +188,8 @@ def _oracle_sum(
 ) -> np.ndarray:
     """Quadrature-route Wigner values on the outer grid ``xs x ps``."""
     if quadrature.rule == "gauss-hermite":
-        pair_fn = lambda cj, ck: _pair_integral_hermite(cj, ck, xs, ps, units.hbar, quadrature.order)
+        nodes = roots_hermite(quadrature.order)
+        pair_fn = lambda cj, ck: _pair_integral_hermite(cj, ck, xs, ps, units.hbar, nodes)
     else:
         pair_fn = lambda cj, ck: _pair_integral_uniform(cj, ck, xs, ps, units, quadrature.rule)
     return _sum_pairs(state, units.hbar, pair_fn)

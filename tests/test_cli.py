@@ -14,6 +14,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -226,6 +227,21 @@ class TestDecohere:
         # above the linear-rate label
         ratio = payload["decoherence_times"]["threshold_1.0"] / 0.01
         assert 20.0 < ratio < 22.0
+
+    def test_far_time_grid_is_quiet(self, tmp_path, capsys):
+        # At gamma*t ~ 1e59 the small-u series of the position-spread
+        # bracket must not be evaluated: it would overflow and warn.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run_cli(tmp_path, "decohere", "--t-max", "1e60", "--nt", "5")
+        assert rc == 0
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
+        lines = read_csv_lines(tmp_path, "decohere")[1:]
+        rows = [[float(v) for v in line.split(",")] for line in lines]
+        assert len(rows) == 5 and rows[0][:2] == [0.0, 0.0]
+        # every fringe is gone: A = offset^2 / (2 sigma^2) = 40.5
+        assert all(a == 40.5 for _, a, _ in rows[1:])
 
     def test_gamma_zero_exits_3(self, tmp_path, capsys):
         rc = run_cli(tmp_path, "decohere", "--gamma", "0", "--nt", "5")
@@ -480,12 +496,14 @@ class TestBoundaryProperties:
 def test_import_skips_unused_scipy_modules():
     # scipy.integrate and scipy.stats took about 0.6 s of every CLI start
     # for one function each (simpson, poisson.sf); core builds its own
-    # Simpson weights and states uses scipy.special.pdtrc.
+    # Simpson weights and states uses scipy.special.pdtrc.  No production
+    # route interpolates, so scipy.interpolate stays unloaded too.
     src = os.path.dirname(os.path.dirname(subplanck.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     probe = (
         "import sys, subplanck.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith(('scipy.integrate', 'scipy.stats'))))"
+        "print(sorted(m for m in sys.modules"
+        " if m.startswith(('scipy.integrate', 'scipy.interpolate', 'scipy.stats'))))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True

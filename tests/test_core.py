@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from subplanck.core import (
     _format_float,
     field_summary,
     field_to_csv,
-    parallel_map,
     write_json,
     write_text_atomic,
 )
@@ -126,17 +126,6 @@ class TestUnits:
             UnitSystem(kB=-1.0)
 
 
-class TestParallelMap:
-    def test_preserves_order(self):
-        items = list(range(40))
-        assert parallel_map(lambda v: v * v, items, threads=8) == [v * v for v in items]
-
-    def test_single_thread_identical(self):
-        items = [0.1 * k for k in range(25)]
-        fn = lambda v: math.sin(v) ** 2
-        assert parallel_map(fn, items, threads=1) == parallel_map(fn, items, threads=4)
-
-
 class TestWriters:
     def test_format_float_round_trip(self):
         for v in (0.1, 1 / 3, math.pi, 1e-300, -7.25):
@@ -174,12 +163,17 @@ class TestWriters:
             for _ in range(20):
                 write_text_atomic(str(path), text)
 
+        workers = [threading.Thread(target=write_many, args=(text,)) for text in texts]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            parallel_map(write_many, texts, threads=len(texts))
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
         assert path.read_text() in texts
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.txt"]
 

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 from conftest import P0, SIGMA, X0
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subplanck.core import UnitSystem, integrate_2d, linspace_grid
 from subplanck.decoherence import (
@@ -141,11 +143,60 @@ class TestAttenuation:
 
     def test_curve_rows(self, bath, units):
         ts = [0.0, 0.01, 0.05]
-        rows = attenuation_curve(bath, X0, SIGMA, ts, units, threads=2)
+        rows = attenuation_curve(bath, X0, SIGMA, ts, units)
         assert [r[0] for r in rows] == ts
         for t, a, vis in rows:
             assert a == attenuation_exponent(bath, t, X0, SIGMA, units)
             assert vis == pytest.approx(math.exp(-a), rel=1e-15)
+
+
+# Property tests draw from a fixed sequence, so every run checks the same cases.
+SEEDED = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def broadcast_cases(draw):
+    """A bath (``gamma = 0`` and ``T = 0`` included), a fringe pair and a
+    time array straddling the ``gamma t = 0.02`` series switch."""
+    bath = BathParams(
+        mass=draw(st.floats(0.5, 2.0)),
+        gamma=draw(st.one_of(st.just(0.0), st.floats(0.01, 2.0))),
+        temperature=draw(st.one_of(st.just(0.0), st.floats(0.5, 20.0))),
+    )
+    kind = draw(st.sampled_from(["position", "momentum"]))
+    offset = draw(st.floats(1.0, 12.0))
+    sigma = draw(st.floats(0.3, 1.0))
+    # drawn edge values plus a seeded spread of generic ones on both sides
+    edges = draw(st.lists(st.floats(0.0, 5.0), max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    us = [0.0, 0.02, *edges, *rng.uniform(0.0, 0.04, 64), *rng.uniform(0.04, 5.0, 64)]
+    ts = np.array(us) / (bath.gamma if bath.gamma > 0 else 1.0)
+    return bath, kind, offset, sigma, ts
+
+
+@SEEDED
+@given(broadcast_cases())
+def test_broadcast_layer_matches_scalar_calls(case):
+    bath, kind, offset, sigma, ts = case
+    units = UnitSystem()
+    rows = attenuation_curve(bath, offset, sigma, ts, units, kind)
+    assert [r[0] for r in rows] == ts.tolist()
+    floor = 200 * np.finfo(float).eps * 2 * offset**2 * sigma**2
+    for t, a, _ in rows:
+        assert a == attenuation_exponent(bath, t, offset, sigma, units, kind)
+        b = attenuation_numeric(bath, t, offset, sigma, units, kind)
+        # Without diffusion the exact exponent is zero, and both routes
+        # cancel terms that grow with the free spreading (hbar G / 2 sigma^2)^2.
+        spread = 1.0
+        if bath.gamma == 0 or bath.temperature == 0:
+            spread += (units.hbar * green_function(bath, t)[0] / (2 * sigma**2)) ** 2
+        assert abs(a - b) < max(1e-11 * abs(a), floor * spread), (t, a, b)
+    for layer in (green_function, lambda b, t: bath_moments(b, t, units)):
+        for t in (ts, ts[:, None], ts[-1]):
+            assert [np.shape(v) for v in layer(bath, t)] == [np.shape(t)] * 3
+        columns = [v.tolist() for v in layer(bath, ts)]
+        scalar_calls = [[float(v) for v in layer(bath, t)] for t in ts]
+        assert [list(r) for r in zip(*columns)] == scalar_calls
 
 
 class TestTauFormulas:

@@ -16,7 +16,6 @@ from subplanck.metrology import (
     default_scan_grid,
     find_orthogonality,
     fit_effective_coefficients,
-    overlap,
     overlap_closed,
     overlap_map,
     overlap_reference,
@@ -99,10 +98,9 @@ class TestOverlapValues:
     def test_unit_normalization(self, scan):
         assert scan.unit(0.0, 0.0) == pytest.approx(1.0, rel=1e-14)
 
-    def test_one_shot_wrapper(self, mixed, units):
-        grid = default_scan_grid(X0, P0, SIGMA, units)
-        raw = overlap(mixed, 0.1, 0.05, grid, units)
-        unit = overlap(mixed, 0.1, 0.05, grid, units, normalize=True)
+    def test_one_shot_wrapper(self, scan):
+        raw = scan.value(0.1, 0.05)
+        unit = scan.unit(0.1, 0.05)
         assert raw == pytest.approx(true_overlap(0.1, 0.05), abs=1e-12)
         assert unit == pytest.approx(raw * 4 * math.pi * HBAR, rel=1e-10)
 
@@ -223,19 +221,6 @@ class TestOverlapMap:
             assert omap.values[i0 + di, j0 + dj] == pytest.approx(
                 scan.value(d1, d2), abs=1e-13
             )
-
-    def test_interpolator_between_nodes(self, mixed, scan, units):
-        grid = default_scan_grid(X0, P0, SIGMA, units)
-        field = wigner_closed(mixed, grid, units)
-        omap = overlap_map(field)
-        interp = omap.interpolator()
-        # Exact at the lag nodes, grid-limited (few samples per fringe
-        # period, so only ~1e-3) between them.
-        i, j = 12, 9
-        node = float(interp((omap.delta2s[i], omap.delta1s[j])))
-        assert node == pytest.approx(float(omap.values[i, j]), rel=1e-12)
-        val = float(interp((0.05, 0.11)))
-        assert val == pytest.approx(true_overlap(0.11, 0.05), abs=5e-3)
 
 
 class TestReferenceFormula:

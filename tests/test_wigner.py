@@ -16,6 +16,7 @@ from oracles import (
     wc2_closed,
     wrho_closed,
 )
+from scipy.special import roots_hermite
 
 from subplanck.core import PhaseSpaceGrid, Quadrature, UnitSystem, integrate_2d, linspace_grid
 from subplanck.states import (
@@ -378,6 +379,6 @@ def test_hermite_node_sum_factors(data, hbar, order):
     cj, ck = draw_packet(data.draw), draw_packet(data.draw)
     xs = np.linspace(-4.0, 4.0, 9)
     ps = np.linspace(-6.0, 6.0, 11)
-    got = _pair_integral_hermite(cj, ck, xs, ps, hbar, order)
+    got = _pair_integral_hermite(cj, ck, xs, ps, hbar, roots_hermite(order))
     want = pair_integral_hermite_direct(cj, ck, xs, ps, hbar, order)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
