@@ -220,28 +220,27 @@ def _load_config(path: str) -> dict:
     return data
 
 
-def _apply_config(args: argparse.Namespace, sub: argparse.ArgumentParser, argv: list[str]) -> None:
-    """Overlay config-file values under explicit command-line flags."""
-    config = _load_config(args.config)
-    dests = {a.dest for a in sub._actions if a.dest not in ("help",)}
-    # map option names as written (with dashes) to dests as stored
+def _apply_config(
+    path: str, parser: argparse.ArgumentParser, sub: argparse.ArgumentParser, argv: list[str]
+) -> argparse.Namespace:
+    """Parse ``argv`` again with the checked config values as the
+    subcommand's defaults, so that argparse lets an explicit flag win in
+    any spelling it accepts (``--sigma 0.4``, ``--sigma=0.4``, ``--sig 0.4``)."""
+    config = _load_config(path)
+    # map option names as written (with dashes) to their actions
     by_name = {}
     for a in sub._actions:
         for opt in a.option_strings:
-            by_name[opt.lstrip("-")] = a.dest
-            by_name[opt.lstrip("-").replace("-", "_")] = a.dest
-    explicit = set()
-    for token in argv:
-        if token.startswith("--"):
-            explicit.add(token[2:].split("=", 1)[0].replace("-", "_"))
-    actions = {a.dest: a for a in sub._actions}
+            by_name[opt.lstrip("-")] = a
+            by_name[opt.lstrip("-").replace("-", "_")] = a
+    values = {}
     for key, value in config.items():
-        dest = by_name.get(key.replace("-", "_"))
-        if dest is None or dest not in dests:
+        action = by_name.get(key.replace("-", "_"))
+        if action is None or action.dest == "help":
             raise ConfigError(f"unknown config key {key!r} for this command")
-        if key.replace("-", "_") in explicit or dest in explicit:
-            continue
-        setattr(args, dest, _config_value(actions[dest], key, value))
+        values[action.dest] = _config_value(action, key, value)
+    sub.set_defaults(**values)
+    return parser.parse_args(argv)
 
 
 def _config_value(action: argparse.Action, key: str, value):
@@ -516,7 +515,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config is not None:
-            _apply_config(args, registry[args.command], argv)
+            args = _apply_config(args.config, parser, registry[args.command], argv)
         if args.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {args.threads}")
         _check_finite(args, registry[args.command])

@@ -187,6 +187,17 @@ def _det2(a: Sym2) -> np.ndarray:
     return a11 * a22 - a12 * a12
 
 
+def _det2_rank_one(a: Sym2, d: Sym2) -> np.ndarray:
+    """``det(a + d)`` for a rank-one ``a``.
+
+    ``det a`` is zero, so the expansion leaves it out instead of
+    cancelling it in rounding: where ``d`` is zero the result is exactly 0.
+    """
+    a11, a12, a22 = a
+    d11, d12, d22 = d
+    return a11 * d22 - 2 * a12 * d12 + a22 * d11 + _det2(d)
+
+
 def attenuation_exponent(
     bath: BathParams,
     t,
@@ -221,9 +232,9 @@ def attenuation_exponent(
     As, Ah, D = _covariance_parts(bath, t, sigma, units)
     det_full = _det2(_add(As, Ah, D))
     if kind == "position":
-        a = offset**2 / (2 * sigma**2) * _det2(_add(As, D)) / det_full
+        a = offset**2 / (2 * sigma**2) * _det2_rank_one(As, D) / det_full
     else:
-        a = 2 * offset**2 * sigma**2 / units.hbar**2 * _det2(_add(Ah, D)) / det_full
+        a = 2 * offset**2 * sigma**2 / units.hbar**2 * _det2_rank_one(Ah, D) / det_full
     return float(a) if a.ndim == 0 else a
 
 

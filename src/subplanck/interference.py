@@ -121,90 +121,94 @@ class ZeroLattice:
 
 
 def _crossings(coords: np.ndarray, vals: np.ndarray) -> list[tuple[float, float]]:
-    """Brackets ``(a, b)`` around strict sign changes."""
-    out = []
+    """Brackets ``(a, b)`` around strict sign changes: consecutive non-zero
+    samples of opposite sign, spanning any exact zeros between them."""
     s = np.sign(vals)
-    for i in range(len(vals) - 1):
-        if s[i] != 0 and s[i + 1] != 0 and s[i] != s[i + 1]:
-            out.append((float(coords[i]), float(coords[i + 1])))
-        elif s[i] != 0 and s[i + 1] == 0:
-            # exact zero on a node: bracket around it
-            j = i + 2
-            while j < len(vals) and s[j] == 0:
-                j += 1
-            if j < len(vals) and s[j] != s[i]:
-                out.append((float(coords[i]), float(coords[j])))
-    return out
+    nz = np.flatnonzero(s)
+    a, b = nz[:-1], nz[1:]
+    keep = s[a] != s[b]
+    return list(zip(coords[a[keep]].tolist(), coords[b[keep]].tolist()))
 
 
 def _touches(coords: np.ndarray, vals: np.ndarray, threshold: float) -> list[float]:
     """Tangential near-zero minima: deep dips of ``|vals|`` without a
     sign change, prominent against their neighborhoods."""
-    out = []
     av = np.abs(vals)
     scale = float(av.max())
     if scale == 0:
-        return out
+        return []
     deep = threshold * scale
-    prominent = 10 * deep
-    for i in range(1, len(vals) - 1):
-        if not (av[i] < deep and av[i] < av[i - 1] and av[i] <= av[i + 1]):
-            continue
-        if vals[i - 1] * vals[i + 1] < 0:
-            continue  # that's a crossing, not a touch
-        left_ok = any(av[j] >= prominent for j in range(i - 1, -1, -1))
-        right_ok = any(av[j] >= prominent for j in range(i + 1, len(vals)))
-        if left_ok and right_ok:
-            out.append(float(coords[i]))
-    return out
+    tall = av >= 10 * deep
+    tall_left = np.logical_or.accumulate(tall)  # any(tall[:i + 1])
+    tall_right = np.logical_or.accumulate(tall[::-1])[::-1]  # any(tall[i:])
+    mid = av[1:-1]
+    dip = (
+        (mid < deep)
+        & (mid < av[:-2])
+        & (mid <= av[2:])
+        & ~(vals[:-2] * vals[2:] < 0)  # a sign change is a crossing, not a touch
+        & tall_left[:-2]
+        & tall_right[2:]
+    )
+    return coords[1:-1][dip].tolist()
 
 
-def _refine_crossing(fn, a: float, b: float) -> float:
-    return float(brentq(fn, a, b, xtol=1e-12, rtol=8.9e-16, maxiter=200))
+def _axis_touches(coords, vals, threshold: float, fn, at: float, step: float):
+    """Touches of an axis scan that sits at ``at`` across the axis:
+    whether there are any, and the first positive one refined by bounded
+    Brent within one grid ``step``.  ``fn(along, across)`` is the field."""
+    touches = _touches(coords, vals, threshold)
+    first = min((t for t in touches if t > 0), default=None)
+    if first is not None:
+        res = minimize_scalar(lambda t: float(fn(t, at)), bounds=(first - step, first + step),
+                              method="bounded", options={"xatol": 1e-12})
+        first = float(res.x)
+    return bool(touches), first
 
 
-def _refine_touch(fn, center: float, half: float) -> float:
-    res = minimize_scalar(fn, bounds=(center - half, center + half), method="bounded",
-                          options={"xatol": 1e-12})
-    return float(res.x)
-
-
-def _interp_roots(coords: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Linear-interpolation roots at sign changes (no-evaluator fallback)."""
-    roots = []
-    for a, b in _crossings(coords, vals):
-        ia = int(np.searchsorted(coords, a))
-        ib = int(np.searchsorted(coords, b))
-        va, vb = vals[ia], vals[ib]
-        roots.append(a + (b - a) * va / (va - vb))
-    return np.asarray(roots)
+def _family(coords, axis_vals, axis_at: float, touched: bool, other_touch: float | None,
+            fn) -> tuple[np.ndarray, float]:
+    """Sorted zero lines crossing an axis scan, and where across the axis
+    they were measured.  Sign changes of ``axis_vals`` (the field at
+    ``coords``, ``axis_at`` across) are refined by Brent's method; if the
+    axis only touches zero, the scan moves to half the other family's
+    first touch, where the lines cross transversally."""
+    brackets = _crossings(coords, axis_vals)
+    at = axis_at
+    if not brackets and touched and other_touch is not None:
+        at = other_touch / 2
+        brackets = _crossings(coords, np.asarray(fn(coords, at), dtype=float))
+    line = lambda t: float(fn(t, at))
+    lines = sorted(float(brentq(line, a, b, xtol=1e-12, rtol=8.9e-16, maxiter=200))
+                   for a, b in brackets)
+    return np.asarray(lines, dtype=float), at
 
 
 def find_zero_lattice(
     field_in: WignerField,
-    evaluator=None,
+    evaluator,
     threshold: float = 1e-3,
     min_nodes_per_gap: int = 8,
 ) -> ZeroLattice:
     """Measure the lattice of zero lines of a sampled Wigner function.
 
     Pass 1 scans the two axes of the grid.  Transversal sign changes
-    found there are refined directly into zero lines.  Where a family
-    of lines only *touches* zero on the axis (the generic situation for
-    the cat mixture, whose on-axis profile is a non-negative
-    ``1 + cos``), the touch positions fix the lattice scale, and pass 2
-    rescans along a row/column offset by half the first touch, where
-    the same lines cross zero transversally and can be bracketed.
+    found there are bracketed and refined into zero lines with Brent's
+    method.  Where a family of lines only *touches* zero on the axis
+    (the generic situation for the cat mixture, whose on-axis profile is
+    a non-negative ``1 + cos``), the touch positions fix the lattice
+    scale, and pass 2 rescans along a row/column offset by half the
+    first touch, where the same lines cross zero transversally and can
+    be bracketed.
 
     Parameters
     ----------
     field_in : WignerField
         Sampled Wigner function whose grid drives the detection.
-    evaluator : callable, optional
-        Vectorized ``(x, p) -> W`` used to refine features to high
-        accuracy and to evaluate the offset scans at their exact
-        locations.  Without it, features are interpolated from the grid
-        samples only, which limits accuracy to the grid scale.
+    evaluator : callable
+        Vectorized ``(x, p) -> W``.  It evaluates the offset scans at
+        their exact locations and refines every line and touch far below
+        the grid scale.
     threshold : float
         Relative depth below which an axis minimum counts as a touch.
     min_nodes_per_gap : int
@@ -230,61 +234,12 @@ def find_zero_lattice(
     col = field_in.values[i0, :]  # W(~0, p)
     p_axis = float(ps[j0])
     x_axis = float(xs[i0])
+    p_fn = lambda p, x: evaluator(x, p)
 
-    row_cross = _crossings(xs, row)
-    col_cross = _crossings(ps, col)
-    row_touch = _touches(xs, row, threshold)
-    col_touch = _touches(ps, col, threshold)
-
-    x_touch_first = min((t for t in row_touch if t > 0), default=None)
-    p_touch_first = min((t for t in col_touch if t > 0), default=None)
-    if evaluator is not None:
-        if x_touch_first is not None:
-            x_touch_first = _refine_touch(lambda x: float(evaluator(x, p_axis)),
-                                          x_touch_first, grid.dx)
-        if p_touch_first is not None:
-            p_touch_first = _refine_touch(lambda p: float(evaluator(x_axis, p)),
-                                          p_touch_first, grid.dp)
-
-    def refine_family(coords, vals, fixed: float, along_x: bool) -> np.ndarray:
-        brackets = _crossings(coords, vals)
-        if evaluator is None:
-            return _interp_roots(coords, vals)
-        if along_x:
-            fn = lambda t: float(evaluator(t, fixed))
-        else:
-            fn = lambda t: float(evaluator(fixed, t))
-        return np.asarray(sorted(_refine_crossing(fn, a, b) for a, b in brackets))
-
-    # x-line family (zero lines at constant x)
-    x_lines = np.empty(0)
-    p_offset_row = p_axis
-    if row_cross:
-        x_lines = refine_family(xs, row, p_axis, along_x=True)
-    elif row_touch and p_touch_first is not None:
-        p_offset_row = p_touch_first / 2
-        if evaluator is not None:
-            off_vals = np.asarray(evaluator(xs, p_offset_row), dtype=float)
-        else:
-            j = int(np.argmin(np.abs(ps - p_offset_row)))
-            p_offset_row = float(ps[j])
-            off_vals = field_in.values[:, j]
-        x_lines = refine_family(xs, off_vals, p_offset_row, along_x=True)
-
-    # p-line family (zero lines at constant p)
-    p_lines = np.empty(0)
-    x_offset_col = x_axis
-    if col_cross:
-        p_lines = refine_family(ps, col, x_axis, along_x=False)
-    elif col_touch and x_touch_first is not None:
-        x_offset_col = x_touch_first / 2
-        if evaluator is not None:
-            off_vals = np.asarray(evaluator(x_offset_col, ps), dtype=float)
-        else:
-            i = int(np.argmin(np.abs(xs - x_offset_col)))
-            x_offset_col = float(xs[i])
-            off_vals = field_in.values[i, :]
-        p_lines = refine_family(ps, off_vals, x_offset_col, along_x=False)
+    row_touched, x_touch_first = _axis_touches(xs, row, threshold, evaluator, p_axis, grid.dx)
+    col_touched, p_touch_first = _axis_touches(ps, col, threshold, p_fn, x_axis, grid.dp)
+    x_lines, p_offset_row = _family(xs, row, p_axis, row_touched, p_touch_first, evaluator)
+    p_lines, x_offset_col = _family(ps, col, x_axis, col_touched, x_touch_first, p_fn)
 
     if x_lines.size == 0 and p_lines.size == 0:
         raise LatticeError(
@@ -292,19 +247,14 @@ def find_zero_lattice(
             "the field appears to have no interference zero structure"
         )
 
-    if x_lines.size >= 2:
-        spacing = float(np.median(np.diff(x_lines)))
-        if spacing < min_nodes_per_gap * grid.dx:
+    for name, lines, step in (("x", x_lines, grid.dx), ("p", p_lines, grid.dp)):
+        if lines.size < 2:
+            continue
+        spacing = float(np.median(np.diff(lines)))
+        if spacing < min_nodes_per_gap * step:
             raise ResolutionError(
-                f"x-line spacing {spacing:.4g} spans fewer than {min_nodes_per_gap} "
-                f"grid steps (dx = {grid.dx:.4g}); refine the grid"
-            )
-    if p_lines.size >= 2:
-        spacing = float(np.median(np.diff(p_lines)))
-        if spacing < min_nodes_per_gap * grid.dp:
-            raise ResolutionError(
-                f"p-line spacing {spacing:.4g} spans fewer than {min_nodes_per_gap} "
-                f"grid steps (dp = {grid.dp:.4g}); refine the grid"
+                f"{name}-line spacing {spacing:.4g} spans fewer than {min_nodes_per_gap} "
+                f"grid steps (d{name} = {step:.4g}); refine the grid"
             )
 
     return ZeroLattice(
@@ -358,24 +308,21 @@ def checkerboard_report(evaluator, lattice: ZeroLattice, kmax: int = 3, mmax: in
     if have_x and have_p:
         dx_t = lattice.x_spacing()
         dp_t = lattice.p_spacing()
-        checked = 0
+        k, m = np.meshgrid(np.arange(-kmax, kmax + 1), np.arange(-mmax, mmax + 1), indexing="ij")
+        even = (k + m) % 2 == 0
+        k, m = k[even], m[even]
+        x, p = k * dx_t, m * dp_t
+        vals = np.asarray(evaluator(x, p), dtype=float)
+        bad = np.flatnonzero(np.copysign(1.0, vals) != np.where(k % 2 == 0, 1.0, -1.0))
         mismatch = None
-        ok = True
-        for k in range(-kmax, kmax + 1):
-            for m in range(-mmax, mmax + 1):
-                if (k + m) % 2 != 0:
-                    continue
-                val = float(evaluator(k * dx_t, m * dp_t))
-                expect = 1.0 if k % 2 == 0 else -1.0
-                checked += 1
-                if math.copysign(1.0, val) != expect:
-                    ok = False
-                    if mismatch is None:
-                        mismatch = {"k": k, "m": m, "x": k * dx_t, "p": m * dp_t, "w": val}
+        if bad.size:
+            i = bad[0]
+            mismatch = {"k": int(k[i]), "m": int(m[i]), "x": float(x[i]), "p": float(p[i]),
+                        "w": float(vals[i])}
         return {
             "pattern": "checkerboard",
-            "centers_checked": checked,
-            "signs_ok": ok,
+            "centers_checked": int(k.size),
+            "signs_ok": mismatch is None,
             "first_mismatch": mismatch,
             "spacing_x": dx_t,
             "spacing_p": dp_t,
@@ -384,16 +331,12 @@ def checkerboard_report(evaluator, lattice: ZeroLattice, kmax: int = 3, mmax: in
     if have_p or have_x:
         lines = np.sort(lattice.p_lines if have_p else lattice.x_lines)
         mids = 0.5 * (lines[:-1] + lines[1:])
-        if have_p:
-            vals = [float(evaluator(0.0, m)) for m in mids]
-        else:
-            vals = [float(evaluator(m, 0.0)) for m in mids]
-        signs = [math.copysign(1.0, v) for v in vals]
-        ok = all(signs[i] != signs[i + 1] for i in range(len(signs) - 1))
+        vals = np.asarray(evaluator(0.0, mids) if have_p else evaluator(mids, 0.0), dtype=float)
+        signs = np.copysign(1.0, vals)
         return {
             "pattern": "stripes_p" if have_p else "stripes_x",
-            "centers_checked": len(mids),
-            "signs_ok": ok,
+            "centers_checked": int(mids.size),
+            "signs_ok": bool(np.all(signs[1:] != signs[:-1])),
             "first_mismatch": None,
             "spacing_x": lattice.x_spacing() if have_x else None,
             "spacing_p": lattice.p_spacing() if have_p else None,

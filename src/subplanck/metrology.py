@@ -273,20 +273,21 @@ def _first_dip(fn, bracket: float, n_scan: int, prominence: float = 1e-6):
     """
     ts = np.linspace(0.0, bracket, n_scan)
     vals = np.asarray(fn(ts), dtype=float)
-    for i in range(1, n_scan - 1):
-        if vals[i] < vals[i - 1] and vals[i] <= vals[i + 1]:
-            left_max = vals[: i + 1].max()
-            right_max = vals[i:].max() if i < n_scan - 1 else vals[i]
-            if min(left_max, right_max) - vals[i] < prominence:
-                continue
-            res = minimize_scalar(
-                fn,
-                bounds=(ts[max(i - 1, 0)], ts[min(i + 1, n_scan - 1)]),
-                method="bounded",
-                options={"xatol": 1e-12},
-            )
-            return float(res.x), float(res.fun)
-    return None
+    left_max = np.maximum.accumulate(vals)  # max(vals[:i + 1])
+    right_max = np.maximum.accumulate(vals[::-1])[::-1]  # max(vals[i:])
+    mid = vals[1:-1]
+    dips = np.flatnonzero(
+        (mid < vals[:-2])
+        & (mid <= vals[2:])
+        & (np.minimum(left_max, right_max)[1:-1] - mid >= prominence)
+    )
+    if dips.size == 0:
+        return None
+    i = int(dips[0]) + 1
+    res = minimize_scalar(
+        fn, bounds=(ts[i - 1], ts[i + 1]), method="bounded", options={"xatol": 1e-12}
+    )
+    return float(res.x), float(res.fun)
 
 
 def find_orthogonality(

@@ -4,12 +4,15 @@ Each is written out by hand for one equal-width, zero-phase state, so
 it shares no code with the general packet-pair routes in
 :mod:`subplanck.wigner` that the tests check against it.  The direct
 Gauss-Hermite node sum is kept here as the reference for the factored
-sum the package evaluates.
+sum the package evaluates, and the loop scans of the zero-lattice
+detector and of the orthogonality search's dip picker as the references
+for their array masks.
 """
 
 import math
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 from scipy.special import roots_hermite
 
 from subplanck.core import UnitSystem
@@ -108,3 +111,63 @@ def pair_integral_hermite_direct(
     phase = np.exp(1j * ys[:, :, None] * omega[None, None, :])  # (nx, order, np)
     amp = np.exp(d) / math.sqrt(a_y)  # (nx,)
     return amp[:, None] * np.einsum("t,xtp->xp", w, phase)
+
+
+def crossings_loop(coords: np.ndarray, vals: np.ndarray) -> list[tuple[float, float]]:
+    """Brackets ``(a, b)`` around strict sign changes, one node at a time."""
+    out = []
+    s = np.sign(vals)
+    for i in range(len(vals) - 1):
+        if s[i] != 0 and s[i + 1] != 0 and s[i] != s[i + 1]:
+            out.append((float(coords[i]), float(coords[i + 1])))
+        elif s[i] != 0 and s[i + 1] == 0:
+            # exact zero on a node: bracket around it
+            j = i + 2
+            while j < len(vals) and s[j] == 0:
+                j += 1
+            if j < len(vals) and s[j] != s[i]:
+                out.append((float(coords[i]), float(coords[j])))
+    return out
+
+
+def touches_loop(coords: np.ndarray, vals: np.ndarray, threshold: float) -> list[float]:
+    """Tangential near-zero minima, one node at a time, with the
+    prominence found by scanning outwards from each candidate."""
+    out = []
+    av = np.abs(vals)
+    scale = float(av.max())
+    if scale == 0:
+        return out
+    deep = threshold * scale
+    prominent = 10 * deep
+    for i in range(1, len(vals) - 1):
+        if not (av[i] < deep and av[i] < av[i - 1] and av[i] <= av[i + 1]):
+            continue
+        if vals[i - 1] * vals[i + 1] < 0:
+            continue  # that's a crossing, not a touch
+        left_ok = any(av[j] >= prominent for j in range(i - 1, -1, -1))
+        right_ok = any(av[j] >= prominent for j in range(i + 1, len(vals)))
+        if left_ok and right_ok:
+            out.append(float(coords[i]))
+    return out
+
+
+def first_dip_loop(fn, bracket: float, n_scan: int, prominence: float = 1e-6):
+    """First prominent interior minimum of ``fn`` on ``(0, bracket]``,
+    found node by node and polished by bounded Brent."""
+    ts = np.linspace(0.0, bracket, n_scan)
+    vals = np.asarray(fn(ts), dtype=float)
+    for i in range(1, n_scan - 1):
+        if vals[i] < vals[i - 1] and vals[i] <= vals[i + 1]:
+            left_max = vals[: i + 1].max()
+            right_max = vals[i:].max() if i < n_scan - 1 else vals[i]
+            if min(left_max, right_max) - vals[i] < prominence:
+                continue
+            res = minimize_scalar(
+                fn,
+                bounds=(ts[max(i - 1, 0)], ts[min(i + 1, n_scan - 1)]),
+                method="bounded",
+                options={"xatol": 1e-12},
+            )
+            return float(res.x), float(res.fun)
+    return None

@@ -307,15 +307,15 @@ class TestConfig:
     def test_config_under_explicit_flags(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"nt": 7, "gamma": 0.25, "t-max": 1.0}))
-        rc = run_cli(
-            tmp_path, "decohere", "--config", str(cfg), "--gamma", "0.5"
-        )
-        assert rc == 0
-        payload = read_json(tmp_path, "decohere")
-        assert payload["params"]["gamma"] == 0.5
-        assert payload["params"]["nt"] == 7
-        assert payload["params"]["t_max"] == 1.0
-        assert len(read_csv_lines(tmp_path, "decohere")) == 1 + 7
+        # every spelling argparse accepts, the unique prefix included
+        for i, flag in enumerate((["--gamma", "0.5"], ["--gamma=0.5"], ["--gam", "0.5"])):
+            out = tmp_path / str(i)
+            assert run_cli(out, "decohere", "--config", str(cfg), *flag) == 0, flag
+            payload = read_json(out, "decohere")
+            assert payload["params"]["gamma"] == 0.5, flag
+            assert payload["params"]["nt"] == 7
+            assert payload["params"]["t_max"] == 1.0
+            assert len(read_csv_lines(out, "decohere")) == 1 + 7
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -117,6 +117,27 @@ class TestAttenuation:
         assert attenuation_exponent(bath, 0.0, X0, SIGMA, units, "position") == 0.0
         assert attenuation_exponent(bath, 0.0, P0, SIGMA, units, "momentum") == 0.0
 
+    @pytest.mark.parametrize(
+        "bath0",
+        [BathParams(mass=1.3, gamma=0.0, temperature=10.0),
+         BathParams(mass=0.7, gamma=0.4, temperature=0.0)],
+        ids=["gamma0", "T0"],
+    )
+    @pytest.mark.parametrize("kind", ["position", "momentum"])
+    def test_no_coupling_is_exactly_zero(self, bath0, kind, units):
+        # Without diffusion the exact exponent is 0 at every t: no roundoff
+        # of either sign, so the visibility is exactly 1, never above it.
+        ts = np.concatenate([np.linspace(0.0, 5.0, 51), np.geomspace(5.0, 300.0, 40)])
+        for sigma in (0.3, 0.34, 0.5, 0.9):
+            for offset in (X0, P0):
+                curve = attenuation_exponent(bath0, ts, offset, sigma, units, kind)
+                assert curve.tolist() == [0.0] * ts.size
+                for t in ts[::7]:
+                    a = attenuation_exponent(bath0, float(t), offset, sigma, units, kind)
+                    assert type(a) is float and a == 0.0
+                rows = attenuation_curve(bath0, offset, sigma, ts, units, kind)
+                assert [(a, vis) for _, a, vis in rows] == [(0.0, 1.0)] * ts.size
+
     def test_position_short_time_slope(self, bath, units):
         t = 1e-6
         a = attenuation_exponent(bath, t, X0, SIGMA, units, "position")

@@ -5,12 +5,16 @@ import math
 import numpy as np
 import pytest
 from conftest import P0, SIGMA, X0
-from oracles import wc1_closed, wc2_closed, wrho_closed
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import crossings_loop, touches_loop, wc1_closed, wc2_closed, wrho_closed
 
 from subplanck.core import ResolutionError, UnitSystem, linspace_grid
 from subplanck.interference import (
     LatticeError,
     ZeroLattice,
+    _crossings,
+    _touches,
     checkerboard_report,
     find_zero_lattice,
     lattice_report,
@@ -18,7 +22,7 @@ from subplanck.interference import (
     zero_condition_residual,
 )
 from subplanck.states import CatSpec, GaussianComponent
-from subplanck.wigner import wigner_closed
+from subplanck.wigner import wigner_closed, wigner_closed_eval
 
 HBAR = 1.0
 X1 = math.pi * HBAR / (4 * P0)  # first zero line at constant x
@@ -74,6 +78,32 @@ class TestResidual:
         assert zero_condition_residual(0.0, p, X0, P0, SIGMA).min() > -1e-12
 
 
+# Samples drawn from a few levels so that exact zeros, -0.0, runs,
+# plateaus and sign changes are common; lengths start at 1.
+_SCAN_LEVELS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -3.0, 1e-5, -1e-5, 5e-4, 0.25])
+_SCAN_VALUES = st.one_of(
+    st.lists(_SCAN_LEVELS, min_size=1, max_size=40),
+    st.lists(st.floats(-5.0, 5.0, width=16) | _SCAN_LEVELS, min_size=1, max_size=40),
+    st.integers(1, 12).map(lambda n: [0.0] * n),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(values=_SCAN_VALUES, threshold=st.sampled_from([1e-3, 1e-2, 0.1, 0.3]))
+@example(values=[0.0], threshold=1e-3)
+@example(values=[-0.0, 1.0], threshold=1e-3)
+@example(values=[1.0, 0.0, -1.0], threshold=1e-3)
+@example(values=[0.0, 0.0, 1.0, 0.0, -0.0, -1.0, 0.0], threshold=1e-3)
+@example(values=[2.0, 1e-5, 2.0, 2.0, 1e-5, 1e-5, 2.0], threshold=1e-3)
+@example(values=[1e-5, 2.0, 0.0, 2.0, 0.0, 0.0], threshold=1e-3)
+def test_scan_masks_match_loops(values, threshold):
+    """The array scans return exactly what the node-by-node loops return."""
+    vals = np.array(values)
+    coords = np.linspace(-1.0, 1.0, vals.size)
+    assert _crossings(coords, vals) == crossings_loop(coords, vals)
+    assert _touches(coords, vals, threshold) == touches_loop(coords, vals, threshold)
+
+
 class TestLatticeDetection:
     def test_first_lines(self, tile_field):
         lattice = find_zero_lattice(tile_field, evaluator=mixed_evaluator)
@@ -97,15 +127,6 @@ class TestLatticeDetection:
         assert tile_area(lattice) == pytest.approx(predicted, rel=1e-9)
         assert tile_area(lattice) < HBAR  # sub-Planck central tile
 
-    def test_grid_only_detection(self, tile_field):
-        # Without an evaluator the offset rows snap to grid nodes and the
-        # lines come from linear interpolation, so positions are only good
-        # to the grid scale (and consecutive gaps alternate around the true
-        # spacing, so the resolution gate must be loosened accordingly).
-        lattice = find_zero_lattice(tile_field, evaluator=None, min_nodes_per_gap=4)
-        assert lattice.first_x_line() == pytest.approx(X1, abs=tile_field.grid.dx)
-        assert lattice.first_p_line() == pytest.approx(P1, abs=tile_field.grid.dp)
-
     def test_resolution_gate(self, tile_field):
         with pytest.raises(ResolutionError, match="spacing"):
             find_zero_lattice(tile_field, evaluator=mixed_evaluator, min_nodes_per_gap=16)
@@ -118,8 +139,9 @@ class TestLatticeDetection:
         )
         grid = linspace_grid(3 * SIGMA, 3 * HBAR / SIGMA, 101, 101)
         field = wigner_closed(packet, grid, units_module)
+        evaluator = lambda x, p: wigner_closed_eval(packet, x, p, units_module)
         with pytest.raises(LatticeError, match="no zero crossings"):
-            find_zero_lattice(field)
+            find_zero_lattice(field, evaluator=evaluator)
 
     def test_position_cat_gives_p_stripes(self, units_module):
         from subplanck.states import make_cat_position

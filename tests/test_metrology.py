@@ -7,11 +7,13 @@ import pytest
 from conftest import P0, SIGMA, X0
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import first_dip_loop
 
 from subplanck.core import UnitSystem
 from subplanck.metrology import (
     OverlapScan,
     SearchError,
+    _first_dip,
     compare_with_compass,
     default_scan_grid,
     find_orthogonality,
@@ -156,6 +158,22 @@ def purity(state, x0, sigma):
         for pa, a in psis
         for pb, b in psis
     )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    values=st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.0 + 1e-7, 1.0 - 1e-6, 2.0, -1.0]),
+                    min_size=1, max_size=30)
+    | st.lists(st.floats(-3.0, 3.0, width=16), min_size=1, max_size=30),
+    prominence=st.sampled_from([0.0, 1e-6, 0.3]),
+)
+def test_first_dip_mask_matches_loop(values, prominence):
+    """The masked dip picker polishes the same node as the node-by-node loop."""
+    vals = np.array(values)
+    nodes = np.linspace(0.0, 1.0, vals.size)
+    fn = lambda t: np.interp(t, nodes, vals)
+    got = _first_dip(fn, 1.0, vals.size, prominence)
+    assert got == first_dip_loop(fn, 1.0, vals.size, prominence)
 
 
 class TestClosedOverlap:
