@@ -39,7 +39,6 @@ import numpy as np
 from subplanck.core import (
     CoverageError,
     InvalidFieldError,
-    PhaseSpaceGrid,
     Quadrature,
     ResolutionError,
     UnitSystem,
@@ -86,7 +85,6 @@ from subplanck.wigner import (
     check_coverage,
     wigner_closed,
     wigner_closed_eval,
-    wigner_closed_point,
     wigner_transform,
 )
 
@@ -277,12 +275,16 @@ def _check_finite(args: argparse.Namespace, sub: argparse.ArgumentParser) -> Non
             raise ConfigError(f"{action.option_strings[0]} must be finite, got {value}")
 
 
-def _require_positive(args: argparse.Namespace, *dests: str) -> None:
-    """Reject counts that would leave an artifact empty."""
-    for dest in dests:
-        value = getattr(args, dest)
-        if value < 1:
-            raise ConfigError(f"--{dest.replace('_', '-')} must be at least 1, got {value}")
+def _require_bounds(args: argparse.Namespace, positive=(), non_negative=()) -> None:
+    """Reject out-of-range values before any work: counts that would leave
+    an artifact empty, widths and offsets that would be divided by, and
+    negative extents.  ``None`` stands for a computed default and passes."""
+    for dests, rule, ok in ((positive, "positive", lambda v: v > 0),
+                            (non_negative, "non-negative", lambda v: v >= 0)):
+        for dest in dests:
+            value = getattr(args, dest)
+            if value is not None and not ok(value):
+                raise ConfigError(f"--{dest.replace('_', '-')} must be {rule}, got {value}")
 
 
 def _rows_to_csv(header: list[str], rows: list[tuple]) -> str:
@@ -340,16 +342,16 @@ def _cmd_wigner(args, units: UnitSystem) -> None:
 
 
 def _cmd_tiles(args, units: UnitSystem) -> None:
+    _require_bounds(args, non_negative=("kmax", "mmax"))
     state = _build_state(args.state, args.x0, args.p0, args.sigma, units)
     wx = args.window_x if args.window_x is not None else args.x0 / 2
     wp = args.window_p if args.window_p is not None else args.p0 / 2
     grid = linspace_grid(wx, wp, args.nx, args.np_)
-    field = wigner_closed(state, grid, units)
 
     def evaluator(x, p):
         return wigner_closed_eval(state, x, p, units)
 
-    lattice = find_zero_lattice(field, evaluator=evaluator, threshold=args.threshold)
+    lattice = find_zero_lattice(grid, evaluator, threshold=args.threshold)
     predicted = math.pi**2 * units.hbar**2 / (16 * args.x0 * args.p0)
     report = lattice_report(lattice, units, predicted_area=predicted)
     checker = checkerboard_report(evaluator, lattice, kmax=args.kmax, mmax=args.mmax)
@@ -379,7 +381,7 @@ def _cmd_tiles(args, units: UnitSystem) -> None:
 
 
 def _cmd_sensitivity(args, units: UnitSystem) -> None:
-    _require_positive(args, "n1", "n2")
+    _require_bounds(args, positive=("n1", "n2"))
     state = _build_state(args.state, args.x0, args.p0, args.sigma, units)
     d1_max = args.d1_max if args.d1_max is not None else 1.5 * math.pi * units.hbar / args.x0
     d2_max = args.d2_max if args.d2_max is not None else 1.5 * math.pi * units.hbar / args.p0
@@ -420,7 +422,7 @@ def _cmd_sensitivity(args, units: UnitSystem) -> None:
 
 
 def _cmd_decohere(args, units: UnitSystem) -> None:
-    _require_positive(args, "nt")
+    _require_bounds(args, positive=("nt", "sigma", "offset"), non_negative=("t_max",))
     bath = BathParams(mass=args.mass, gamma=args.gamma, temperature=args.temperature)
     offset = args.offset if args.offset is not None else (4.5 if args.kind == "position" else 10.0)
     taus = {}
@@ -447,6 +449,7 @@ def _cmd_decohere(args, units: UnitSystem) -> None:
 
 
 def _cmd_kerr(args, units: UnitSystem) -> None:
+    _require_bounds(args, non_negative=("cutoff", "radius"))
     alpha = complex(args.alpha_re, args.alpha_im)
     state = kerr_evolve(alpha, args.kappa_t, cutoff=args.cutoff)
     radius = args.radius if args.radius is not None else abs(alpha)

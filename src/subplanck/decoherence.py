@@ -198,6 +198,15 @@ def _det2_rank_one(a: Sym2, d: Sym2) -> np.ndarray:
     return a11 * d22 - 2 * a12 * d12 + a22 * d11 + _det2(d)
 
 
+def _check_pair(offset: float, sigma: float) -> None:
+    """Reject a packet width the closed forms divide by, and a pair at one
+    point, which has no fringes to attenuate."""
+    if not sigma > 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    if offset == 0:
+        raise ValueError("offset must be non-zero: a pair at one point has no fringes")
+
+
 def attenuation_exponent(
     bath: BathParams,
     t,
@@ -229,6 +238,7 @@ def attenuation_exponent(
     """
     if kind not in ("position", "momentum"):
         raise ValueError(f"unknown kind {kind!r}")
+    _check_pair(offset, sigma)
     As, Ah, D = _covariance_parts(bath, t, sigma, units)
     det_full = _det2(_add(As, Ah, D))
     if kind == "position":
@@ -328,6 +338,7 @@ def decoherence_time(
         raise SearchError("a bath with gamma = 0 or T = 0 never attenuates the fringes")
     if threshold <= 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
+    _check_pair(offset, sigma)
 
     def f(t: float) -> float:
         return attenuation_exponent(bath, t, offset, sigma, units, kind) - threshold

@@ -2,17 +2,17 @@
 
 The even mixture of a position cat and a momentum cat develops a
 checkerboard of alternating-sign diamonds near the phase-space origin.
-This module measures that structure from sampled fields:
+This module measures that structure through an ``(x, p) -> W`` evaluator:
 
 * :func:`zero_condition_residual` — the bracket whose roots are the
   zero set of the mixed-state Wigner function, with the envelope
   divided out (numerically stable form).
-* :func:`find_zero_lattice` — a two-pass detector for the lattice of
-  zero lines.  On the axes themselves the two cosine terms conspire so
-  that the Wigner function only *touches* zero (tangential minima); the
-  detector first locates those touches, then rescans along offset rows
-  and columns where the crossings become transversal and can be
-  bracketed and refined.
+* :func:`find_zero_lattice` — a detector for the lattice of zero lines,
+  scanning the axes ``x = 0`` and ``p = 0`` at a grid's nodes.  On the
+  axes the two cosine terms conspire so that the Wigner function only
+  *touches* zero (tangential minima); the detector first locates those
+  touches, then rescans along the offset row and column where the
+  crossings become transversal and can be bracketed and refined.
 * :func:`tile_area`, :func:`checkerboard_report`,
   :func:`lattice_report` — derived measurements.
 """
@@ -27,9 +27,9 @@ from scipy.optimize import brentq, minimize_scalar
 
 from subplanck.core import (
     PhaseSpaceError,
+    PhaseSpaceGrid,
     ResolutionError,
     UnitSystem,
-    WignerField,
 )
 
 
@@ -153,62 +153,61 @@ def _touches(coords: np.ndarray, vals: np.ndarray, threshold: float) -> list[flo
     return coords[1:-1][dip].tolist()
 
 
-def _axis_touches(coords, vals, threshold: float, fn, at: float, step: float):
-    """Touches of an axis scan that sits at ``at`` across the axis:
-    whether there are any, and the first positive one refined by bounded
-    Brent within one grid ``step``.  ``fn(along, across)`` is the field."""
+def _axis_touches(coords, vals, threshold: float, fn, step: float):
+    """Touches of an axis scan: whether there are any, and the first
+    positive one refined by bounded Brent within one grid ``step``.
+    ``fn(along, across)`` is the field; the axis sits at ``across = 0``."""
     touches = _touches(coords, vals, threshold)
     first = min((t for t in touches if t > 0), default=None)
     if first is not None:
-        res = minimize_scalar(lambda t: float(fn(t, at)), bounds=(first - step, first + step),
+        res = minimize_scalar(lambda t: float(fn(t, 0.0)), bounds=(first - step, first + step),
                               method="bounded", options={"xatol": 1e-12})
         first = float(res.x)
     return bool(touches), first
 
 
-def _family(coords, axis_vals, axis_at: float, touched: bool, other_touch: float | None,
+def _family(coords, axis_vals, touched: bool, other_touch: float | None,
             fn) -> tuple[np.ndarray, float]:
-    """Sorted zero lines crossing an axis scan, and where across the axis
-    they were measured.  Sign changes of ``axis_vals`` (the field at
-    ``coords``, ``axis_at`` across) are refined by Brent's method; if the
-    axis only touches zero, the scan moves to half the other family's
-    first touch, where the lines cross transversally."""
-    brackets = _crossings(coords, axis_vals)
-    at = axis_at
-    if not brackets and touched and other_touch is not None:
+    """Sorted zero lines of one family, and where across the axis they
+    were measured.  If the axis only touches zero and the other family
+    has a positive touch, the lines are the sign changes of the scan at
+    half that touch, where they cross transversally; otherwise they are
+    the sign changes of ``axis_vals`` (the field at ``coords`` on the
+    axis).  Each bracket is refined by Brent's method."""
+    at = 0.0
+    if touched and other_touch is not None:
         at = other_touch / 2
-        brackets = _crossings(coords, np.asarray(fn(coords, at), dtype=float))
+        axis_vals = np.asarray(fn(coords, at), dtype=float)
     line = lambda t: float(fn(t, at))
     lines = sorted(float(brentq(line, a, b, xtol=1e-12, rtol=8.9e-16, maxiter=200))
-                   for a, b in brackets)
+                   for a, b in _crossings(coords, axis_vals))
     return np.asarray(lines, dtype=float), at
 
 
 def find_zero_lattice(
-    field_in: WignerField,
+    grid: PhaseSpaceGrid,
     evaluator,
     threshold: float = 1e-3,
     min_nodes_per_gap: int = 8,
 ) -> ZeroLattice:
-    """Measure the lattice of zero lines of a sampled Wigner function.
+    """Measure the lattice of zero lines of a Wigner function.
 
-    Pass 1 scans the two axes of the grid.  Transversal sign changes
-    found there are bracketed and refined into zero lines with Brent's
-    method.  Where a family of lines only *touches* zero on the axis
-    (the generic situation for the cat mixture, whose on-axis profile is
-    a non-negative ``1 + cos``), the touch positions fix the lattice
-    scale, and pass 2 rescans along a row/column offset by half the
-    first touch, where the same lines cross zero transversally and can
-    be bracketed.
+    The evaluator is scanned along ``p = 0`` and ``x = 0`` at the grid's
+    nodes.  Touches come first: where an axis only *touches* zero (the
+    cat mixture and the compass, whose on-axis profiles are non-negative
+    ``1 + cos`` factors) and the other axis has a positive touch, the
+    family is measured on the scan offset by half that touch, where its
+    lines cross zero transversally, so shallow far-field sign changes on
+    the axis (the compass's cross terms) are not taken for the lattice.
+    Otherwise the axis's own sign changes are the lines.  Lines are
+    refined with Brent's method, first touches by bounded Brent.
 
     Parameters
     ----------
-    field_in : WignerField
-        Sampled Wigner function whose grid drives the detection.
+    grid : PhaseSpaceGrid
+        Scan nodes along each axis; its steps also drive the gate below.
     evaluator : callable
-        Vectorized ``(x, p) -> W``.  It evaluates the offset scans at
-        their exact locations and refines every line and touch far below
-        the grid scale.
+        Vectorized ``(x, p) -> W``.
     threshold : float
         Relative depth below which an axis minimum counts as a touch.
     min_nodes_per_gap : int
@@ -226,20 +225,15 @@ def find_zero_lattice(
     ResolutionError
         If structure is present but the grid undersamples it.
     """
-    grid = field_in.grid
     xs, ps = grid.xs(), grid.ps()
-    i0 = int(np.argmin(np.abs(xs)))
-    j0 = int(np.argmin(np.abs(ps)))
-    row = field_in.values[:, j0]  # W(x, ~0)
-    col = field_in.values[i0, :]  # W(~0, p)
-    p_axis = float(ps[j0])
-    x_axis = float(xs[i0])
+    row = np.asarray(evaluator(xs, 0.0), dtype=float)  # W(x, 0)
+    col = np.asarray(evaluator(0.0, ps), dtype=float)  # W(0, p)
     p_fn = lambda p, x: evaluator(x, p)
 
-    row_touched, x_touch_first = _axis_touches(xs, row, threshold, evaluator, p_axis, grid.dx)
-    col_touched, p_touch_first = _axis_touches(ps, col, threshold, p_fn, x_axis, grid.dp)
-    x_lines, p_offset_row = _family(xs, row, p_axis, row_touched, p_touch_first, evaluator)
-    p_lines, x_offset_col = _family(ps, col, x_axis, col_touched, x_touch_first, p_fn)
+    row_touched, x_touch_first = _axis_touches(xs, row, threshold, evaluator, grid.dx)
+    col_touched, p_touch_first = _axis_touches(ps, col, threshold, p_fn, grid.dp)
+    x_lines, p_offset_row = _family(xs, row, row_touched, p_touch_first, evaluator)
+    p_lines, x_offset_col = _family(ps, col, col_touched, x_touch_first, p_fn)
 
     if x_lines.size == 0 and p_lines.size == 0:
         raise LatticeError(

@@ -371,6 +371,8 @@ def kerr_evolve(
     """
     if cutoff is None:
         cutoff = default_cutoff(alpha)
+    if cutoff < 0:
+        raise ValueError(f"cutoff must be non-negative, got {cutoff}")
     lam = abs(alpha) ** 2
     tail = float(pdtrc(cutoff, lam)) if lam > 0 else 0.0
     if tail > tail_tol:

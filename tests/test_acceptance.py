@@ -214,10 +214,7 @@ def test_criterion_02_normalization_and_purity(big_mixed_field, big_grid):
 
 def test_criterion_03_zero_lattice_first_lines(mixed):
     grid = linspace_grid(X0 / 2, P0 / 2, 257, 257)
-    field = wigner_closed(mixed, grid, UNITS)
-    lattice = find_zero_lattice(
-        field, evaluator=lambda x, p: wigner_closed_eval(mixed, x, p, UNITS)
-    )
+    lattice = find_zero_lattice(grid, lambda x, p: wigner_closed_eval(mixed, x, p, UNITS))
     x_err = abs(lattice.first_x_line() - math.pi * HBAR / (4 * P0))
     p_err = abs(lattice.first_p_line() - math.pi * HBAR / (4 * X0))
     check(
@@ -240,9 +237,8 @@ def test_criterion_04_tile_area_and_inverse_scaling():
         grid = linspace_grid(
             1.25 * math.pi * HBAR / p0, 1.25 * math.pi * HBAR / X0, 257, 257
         )
-        field = wigner_closed(state, grid, UNITS)
         lattice = find_zero_lattice(
-            field, evaluator=lambda x, p, s=state: wigner_closed_eval(s, x, p, UNITS)
+            grid, lambda x, p, s=state: wigner_closed_eval(s, x, p, UNITS)
         )
         area = tile_area(lattice)
         predicted = math.pi**2 * HBAR**2 / (16 * X0 * p0)

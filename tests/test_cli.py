@@ -149,6 +149,24 @@ class TestTiles:
         families = {line.split(",")[0] for line in lines[1:]}
         assert {"x_line", "p_line", "x_touch", "p_touch"} <= families
 
+    def test_compass_default_grid(self, tmp_path):
+        # The compass's shallow far-field sign changes on the axes
+        # (about 1.6e-7 of max|W|) must not be taken for its lattice.
+        assert run_cli(tmp_path, "tiles", "--state", "compass") == 0
+        payload = read_json(tmp_path, "tiles")
+        assert payload["checkerboard"]["signs_ok"] is True
+        lattice = payload["lattice"]
+        assert lattice["tile_area_measured"] == pytest.approx(math.pi**2 / (16 * X0 * P0), rel=1e-6)
+
+    @pytest.mark.parametrize("nx,np_", [("300", "300"), ("2101", "258"), ("258", "2101")])
+    def test_even_node_counts(self, tmp_path, nx, np_):
+        # An even node count leaves no node on its axis; the scans must
+        # still run along x = 0 and p = 0.
+        assert run_cli(tmp_path, "tiles", "--nx", nx, "--np", np_) == 0
+        lattice = read_json(tmp_path, "tiles")["lattice"]
+        assert len(lattice["x_lines"]) >= 2 and len(lattice["p_lines"]) >= 2
+        assert lattice["relative_error"] < 1e-8
+
 
 class TestSensitivity:
     def test_scan_without_search(self, tmp_path):
@@ -484,6 +502,28 @@ class TestBoundaryProperties:
         error = assert_usage_error(rc, stderr, tmp_path, argv[0] if argv else "decohere")
         assert error["kind"] == "ConfigError"
         assert "usage:" not in stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("decohere", "--sigma", "0"),
+            ("decohere", "--kind", "momentum", "--sigma", "0"),
+            ("decohere", "--sigma", "-0.5"),
+            ("decohere", "--offset", "0"),
+            ("decohere", "--t-max", "-1"),
+            ("tiles", "--kmax", "-1"),
+            ("tiles", "--mmax", "-1"),
+            ("kerr", "--radius", "-1"),
+            ("kerr", "--cutoff", "-1"),
+        ],
+        ids=["decohere-sigma-zero", "decohere-momentum-sigma-zero", "decohere-sigma-negative",
+             "decohere-offset-zero", "decohere-t-max-negative", "tiles-kmax-negative",
+             "tiles-mmax-negative", "kerr-radius-negative", "kerr-cutoff-negative"],
+    )
+    def test_out_of_range_value_exits_2(self, tmp_path, argv):
+        rc, stderr = run_captured(tmp_path, *argv)
+        error = assert_usage_error(rc, stderr, tmp_path, argv[0])
+        assert argv[-2] in error["message"]
 
     @pytest.mark.parametrize("argv", [["--help"], ["decohere", "--help"]])
     def test_help_exits_0(self, capsys, argv):

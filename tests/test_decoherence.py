@@ -26,8 +26,7 @@ from subplanck.decoherence import (
     visibility_from_field,
 )
 from subplanck.metrology import SearchError
-from subplanck.states import make_cat_position
-from subplanck.wigner import characteristic_of_cat, wigner_closed_eval
+from subplanck.wigner import wigner_closed_eval
 
 HBAR = 1.0
 KT = 10.0
@@ -280,6 +279,15 @@ class TestDecoherenceTime:
     def test_bad_threshold(self, bath, units):
         with pytest.raises(ValueError, match="threshold"):
             decoherence_time(bath, X0, SIGMA, units, threshold=0.0)
+
+    @pytest.mark.parametrize("offset,sigma", [(X0, 0.0), (X0, -0.5), (0.0, SIGMA)])
+    @pytest.mark.parametrize("kind", ["position", "momentum"])
+    def test_degenerate_pair_raises_value_error(self, bath, units, offset, sigma, kind):
+        # a zero or negative width and a pair at one point are rejected
+        with pytest.raises(ValueError, match="sigma|offset"):
+            decoherence_time(bath, offset, sigma, units, kind)
+        with pytest.raises(ValueError, match="sigma|offset"):
+            attenuation_exponent(bath, 0.1, offset, sigma, units, kind)
 
 
 class TestEvolutionMap:

@@ -1,6 +1,10 @@
 """Tests for zero-lattice detection and tile measurements."""
 
+import contextlib
+import io
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +25,15 @@ from subplanck.interference import (
     tile_area,
     zero_condition_residual,
 )
-from subplanck.states import CatSpec, GaussianComponent
-from subplanck.wigner import wigner_closed, wigner_closed_eval
+from subplanck.states import (
+    CatSpec,
+    GaussianComponent,
+    make_cat_momentum,
+    make_cat_position,
+    make_compass,
+    make_mixed,
+)
+from subplanck.wigner import wigner_closed_eval
 
 HBAR = 1.0
 X1 = math.pi * HBAR / (4 * P0)  # first zero line at constant x
@@ -34,19 +45,8 @@ def mixed_evaluator(x, p):
 
 
 @pytest.fixture(scope="module")
-def tile_field(mixed_module, units_module):
-    grid = linspace_grid(X0 / 2, P0 / 2, 257, 257)
-    return wigner_closed(mixed_module, grid, units_module)
-
-
-@pytest.fixture(scope="module")
-def mixed_module(units_module):
-    from subplanck.states import make_cat_momentum, make_cat_position, make_mixed
-
-    return make_mixed(
-        make_cat_position(X0, SIGMA, units_module),
-        make_cat_momentum(P0, SIGMA, units_module),
-    )
+def tile_grid():
+    return linspace_grid(X0 / 2, P0 / 2, 257, 257)
 
 
 @pytest.fixture(scope="module")
@@ -104,32 +104,63 @@ def test_scan_masks_match_loops(values, threshold):
     assert _touches(coords, vals, threshold) == touches_loop(coords, vals, threshold)
 
 
+def _tiles_nodes(x0: float, p0: float) -> int:
+    """Odd node count that gives the resolution gate its 8 steps per line
+    gap with a 1.25 margin, on the default x0/2 by p0/2 window."""
+    n = max(257, math.ceil(1.25 * 16 * x0 * p0 / (math.pi * HBAR)) + 1)
+    return n + (1 - n % 2)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    x0=st.floats(3.0, 6.0),
+    p0=st.floats(7.0, 14.0),
+    sigma=st.floats(0.4, 0.6),
+    compass=st.booleans(),
+    even=st.booleans(),
+)
+def test_tile_area_over_draws(x0, p0, sigma, compass, even):
+    """Mixture and compass draws on odd and even grids measure the tile
+    pi^2 hbar^2/(16 x0 p0) with a checkerboard of the right signs."""
+    units = UnitSystem(hbar=HBAR)
+    if compass:
+        state = make_compass(x0, p0, sigma, units)
+    else:
+        state = make_mixed(make_cat_position(x0, sigma, units), make_cat_momentum(p0, sigma, units))
+    n = _tiles_nodes(x0, p0) + even
+    evaluator = lambda x, p: wigner_closed_eval(state, x, p, units)
+    lattice = find_zero_lattice(linspace_grid(x0 / 2, p0 / 2, n, n), evaluator)
+    predicted = math.pi**2 * HBAR**2 / (16 * x0 * p0)
+    assert tile_area(lattice) == pytest.approx(predicted, rel=1e-2)
+    assert checkerboard_report(evaluator, lattice)["signs_ok"]
+
+
 class TestLatticeDetection:
-    def test_first_lines(self, tile_field):
-        lattice = find_zero_lattice(tile_field, evaluator=mixed_evaluator)
+    def test_first_lines(self, tile_grid):
+        lattice = find_zero_lattice(tile_grid, mixed_evaluator)
         assert lattice.first_x_line() == pytest.approx(X1, rel=1e-9)
         assert lattice.first_p_line() == pytest.approx(P1, rel=1e-9)
 
-    def test_spacings(self, tile_field):
-        lattice = find_zero_lattice(tile_field, evaluator=mixed_evaluator)
+    def test_spacings(self, tile_grid):
+        lattice = find_zero_lattice(tile_grid, mixed_evaluator)
         assert lattice.x_spacing() == pytest.approx(2 * X1, rel=1e-6)
         assert lattice.p_spacing() == pytest.approx(2 * P1, rel=1e-6)
 
-    def test_touch_positions(self, tile_field):
+    def test_touch_positions(self, tile_grid):
         # On-axis tangential minima sit midway between offset-row lines.
-        lattice = find_zero_lattice(tile_field, evaluator=mixed_evaluator)
+        lattice = find_zero_lattice(tile_grid, mixed_evaluator)
         assert lattice.x_touch_first == pytest.approx(2 * X1, rel=1e-6)
         assert lattice.p_touch_first == pytest.approx(2 * P1, rel=1e-6)
 
-    def test_tile_area(self, tile_field):
-        lattice = find_zero_lattice(tile_field, evaluator=mixed_evaluator)
+    def test_tile_area(self, tile_grid):
+        lattice = find_zero_lattice(tile_grid, mixed_evaluator)
         predicted = math.pi**2 * HBAR**2 / (16 * X0 * P0)
         assert tile_area(lattice) == pytest.approx(predicted, rel=1e-9)
         assert tile_area(lattice) < HBAR  # sub-Planck central tile
 
-    def test_resolution_gate(self, tile_field):
+    def test_resolution_gate(self, tile_grid):
         with pytest.raises(ResolutionError, match="spacing"):
-            find_zero_lattice(tile_field, evaluator=mixed_evaluator, min_nodes_per_gap=16)
+            find_zero_lattice(tile_grid, mixed_evaluator, min_nodes_per_gap=16)
 
     def test_no_structure_raises(self, units_module):
         packet = CatSpec(
@@ -138,19 +169,15 @@ class TestLatticeDetection:
             norm=1.0,
         )
         grid = linspace_grid(3 * SIGMA, 3 * HBAR / SIGMA, 101, 101)
-        field = wigner_closed(packet, grid, units_module)
         evaluator = lambda x, p: wigner_closed_eval(packet, x, p, units_module)
         with pytest.raises(LatticeError, match="no zero crossings"):
-            find_zero_lattice(field, evaluator=evaluator)
+            find_zero_lattice(grid, evaluator)
 
     def test_position_cat_gives_p_stripes(self, units_module):
-        from subplanck.states import make_cat_position
-
         cat = make_cat_position(X0, SIGMA, units_module)
         grid = linspace_grid(X0 / 2, P0 / 2, 257, 257)
-        field = wigner_closed(cat, grid, units_module)
+        lattice = find_zero_lattice(grid, lambda x, p: wigner_closed_eval(cat, x, p, units_module))
         evaluator = lambda x, p: wc1_closed(x, p, X0, SIGMA)
-        lattice = find_zero_lattice(field, evaluator=evaluator)
         assert lattice.x_lines.size == 0
         assert lattice.first_p_line() == pytest.approx(P1, rel=1e-9)
         report = checkerboard_report(evaluator, lattice)
@@ -158,13 +185,10 @@ class TestLatticeDetection:
         assert report["signs_ok"]
 
     def test_momentum_cat_gives_x_stripes(self, units_module):
-        from subplanck.states import make_cat_momentum
-
         cat = make_cat_momentum(P0, SIGMA, units_module)
         grid = linspace_grid(X0 / 2, P0 / 2, 257, 257)
-        field = wigner_closed(cat, grid, units_module)
+        lattice = find_zero_lattice(grid, lambda x, p: wigner_closed_eval(cat, x, p, units_module))
         evaluator = lambda x, p: wc2_closed(x, p, P0, SIGMA)
-        lattice = find_zero_lattice(field, evaluator=evaluator)
         assert lattice.p_lines.size == 0
         assert lattice.first_x_line() == pytest.approx(X1, rel=1e-9)
         report = checkerboard_report(evaluator, lattice)
@@ -173,8 +197,8 @@ class TestLatticeDetection:
 
 
 class TestCheckerboard:
-    def test_mixed_state_checkerboard(self, tile_field):
-        lattice = find_zero_lattice(tile_field, evaluator=mixed_evaluator)
+    def test_mixed_state_checkerboard(self, tile_grid):
+        lattice = find_zero_lattice(tile_grid, mixed_evaluator)
         report = checkerboard_report(mixed_evaluator, lattice)
         assert report["pattern"] == "checkerboard"
         assert report["signs_ok"]
@@ -191,8 +215,8 @@ class TestCheckerboard:
 
 
 class TestReport:
-    def test_report_contents(self, tile_field, units_module):
-        lattice = find_zero_lattice(tile_field, evaluator=mixed_evaluator)
+    def test_report_contents(self, tile_grid, units_module):
+        lattice = find_zero_lattice(tile_grid, mixed_evaluator)
         predicted = math.pi**2 * HBAR**2 / (16 * X0 * P0)
         report = lattice_report(lattice, units_module, predicted_area=predicted)
         assert report["tile_area_measured"] == pytest.approx(predicted, rel=1e-9)
@@ -203,8 +227,20 @@ class TestReport:
         assert len(report["x_lines"]) >= 2
         assert len(report["p_lines"]) >= 2
 
-    def test_report_without_prediction(self, tile_field, units_module):
-        lattice = find_zero_lattice(tile_field, evaluator=mixed_evaluator)
+    def test_report_without_prediction(self, tile_grid, units_module):
+        lattice = find_zero_lattice(tile_grid, mixed_evaluator)
         report = lattice_report(lattice, units_module)
         assert "tile_area_predicted" not in report
         assert "relative_error" not in report
+
+
+def test_readme_library_example():
+    """README's library example runs, and its first line is the tile area."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library example", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    first = float(out.getvalue().split()[0])
+    assert first == pytest.approx(math.pi**2 / 720, rel=1e-6)

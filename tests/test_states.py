@@ -13,11 +13,9 @@ from subplanck import (
     MixedSpec,
     NoDecompositionError,
     TruncationError,
-    UnitSystem,
     coherent_to_gaussian,
     kerr_component_count,
     kerr_evolve,
-    make_cat_momentum,
     make_cat_position,
     make_compass,
     make_mixed,
@@ -161,6 +159,10 @@ class TestKerr:
     def test_truncation_gate(self):
         with pytest.raises(TruncationError):
             kerr_evolve(3.0, 1.0, cutoff=10)
+
+    def test_negative_cutoff_raises_value_error(self):
+        with pytest.raises(ValueError, match="cutoff"):
+            kerr_evolve(3.0, 1.0, cutoff=-1)
 
     def test_full_period_returns_to_displaced_coherent(self):
         # kappa t = 2 pi flips the sign of alpha; 4 pi restores it.

@@ -18,7 +18,7 @@ from oracles import (
 )
 from scipy.special import roots_hermite
 
-from subplanck.core import PhaseSpaceGrid, Quadrature, UnitSystem, integrate_2d, linspace_grid
+from subplanck.core import Quadrature, UnitSystem, integrate_2d, linspace_grid
 from subplanck.states import (
     CatSpec,
     GaussianComponent,
@@ -26,7 +26,6 @@ from subplanck.states import (
     kerr_evolve,
     make_cat_momentum,
     make_cat_position,
-    make_compass,
     make_mixed,
     psi_eval,
 )
