@@ -342,7 +342,7 @@ def _cmd_wigner(args, units: UnitSystem) -> None:
 
 
 def _cmd_tiles(args, units: UnitSystem) -> None:
-    _require_bounds(args, non_negative=("kmax", "mmax"))
+    _require_bounds(args, positive=("threshold",), non_negative=("kmax", "mmax"))
     state = _build_state(args.state, args.x0, args.p0, args.sigma, units)
     wx = args.window_x if args.window_x is not None else args.x0 / 2
     wp = args.window_p if args.window_p is not None else args.p0 / 2
@@ -449,7 +449,7 @@ def _cmd_decohere(args, units: UnitSystem) -> None:
 
 
 def _cmd_kerr(args, units: UnitSystem) -> None:
-    _require_bounds(args, non_negative=("cutoff", "radius"))
+    _require_bounds(args, positive=("samples",), non_negative=("cutoff", "radius"))
     alpha = complex(args.alpha_re, args.alpha_im)
     state = kerr_evolve(alpha, args.kappa_t, cutoff=args.cutoff)
     radius = args.radius if args.radius is not None else abs(alpha)

@@ -1,4 +1,5 @@
-"""Shared phase-space primitives: units, grids, fields, quadrature, IO.
+"""Shared phase-space primitives: units, grids, fields, quadrature, scalar
+Brent solvers, IO.
 
 Conventions used throughout the package:
 
@@ -231,6 +232,172 @@ def integrate_2d(field: WignerField, rule: str = "trapezoid") -> float:
         raise InvalidFieldError("field contains non-finite samples")
     g = field.grid
     return float(_uniform_weights(rule, g.nx, g.dx) @ v @ _uniform_weights(rule, g.np, g.dp))
+
+
+_RTOL_MIN = 4 * np.finfo(float).eps
+
+
+def brent_root(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """Root of scalar ``f`` in the sign-change bracket ``[a, b]`` by
+    Brent's method (Brent 1973, ch. 4).
+
+    A line-for-line port of scipy's ``brentq`` (``Zeros/brentq.c``,
+    scipy 1.17): the same steps in the same order, so it returns the same
+    float.  The tests hold it to ``scipy.optimize.brentq`` bit for bit.
+
+    Raises
+    ------
+    ValueError
+        If ``f(a)`` and ``f(b)`` have the same sign, ``f`` returns NaN,
+        ``xtol <= 0`` or ``rtol < 4 eps``.
+    RuntimeError
+        If the bracket has not shrunk to the tolerance after ``maxiter``
+        iterations.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _RTOL_MIN:
+        raise ValueError(f"rtol too small ({rtol:g} < {_RTOL_MIN:g})")
+
+    def fv(x: float) -> float:
+        y = float(f(x))
+        if math.isnan(y):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return y
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = fv(xpre), fv(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    # both non-zero and not NaN, so ``< 0`` is ``signbit``
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = fv(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur:f}")
+
+
+def brent_min(f, lo: float, hi: float, xatol: float, maxiter: int = 500) -> tuple[float, float]:
+    """Minimum ``(x, f(x))`` of scalar ``f`` on ``[lo, hi]`` by Brent's
+    golden-section and parabolic search (Brent 1973, ch. 5).
+
+    A line-for-line port of scipy's bounded ``minimize_scalar``
+    (``optimize._optimize._minimize_scalar_bounded``, scipy 1.17): the
+    same steps in the same order, so it returns the same floats.  It
+    stops after ``maxiter`` evaluations of ``f``, as scipy does, and
+    returns the best point so far.  The tests hold it to scipy bit for
+    bit.
+
+    Raises
+    ------
+    ValueError
+        If a bound is not finite or ``lo > hi``.
+    """
+    a, b = float(lo), float(hi)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("Optimization bounds must be finite scalars.")
+    if a > b:
+        raise ValueError("The lower bound exceeds the upper bound.")
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = float(f(xf))
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if abs(e) > tol1:  # parabolic fit
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm - xf >= 0 else -tol1
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+
+        step = max(abs(rat), tol1)
+        x = xf + (step if rat >= 0 else -step)
+        fu = float(f(x))
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxiter:
+            break
+    return xf, fx
 
 
 def _format_float(v: float) -> str:

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from subplanck.core import (
     PhaseSpaceGrid,
@@ -35,6 +34,7 @@ from subplanck.core import (
     WignerField,
     WindowError,
     _uniform_weights,
+    brent_root,
 )
 from subplanck.metrology import SearchError
 from subplanck.states import CatSpec, MixedSpec
@@ -352,7 +352,7 @@ def decoherence_time(
         t_hi *= 2.0
     else:
         raise SearchError(f"attenuation never exceeds {threshold} up to t = {t_hi}")
-    return float(brentq(f, 0.0, t_hi, xtol=1e-15, rtol=8.9e-16))
+    return brent_root(f, 0.0, t_hi, xtol=1e-15, rtol=8.9e-16)
 
 
 def attenuation_curve(

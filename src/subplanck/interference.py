@@ -23,13 +23,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from subplanck.core import (
     PhaseSpaceError,
     PhaseSpaceGrid,
     ResolutionError,
     UnitSystem,
+    brent_min,
+    brent_root,
 )
 
 
@@ -160,9 +161,7 @@ def _axis_touches(coords, vals, threshold: float, fn, step: float):
     touches = _touches(coords, vals, threshold)
     first = min((t for t in touches if t > 0), default=None)
     if first is not None:
-        res = minimize_scalar(lambda t: float(fn(t, 0.0)), bounds=(first - step, first + step),
-                              method="bounded", options={"xatol": 1e-12})
-        first = float(res.x)
+        first, _ = brent_min(lambda t: fn(t, 0.0), first - step, first + step, xatol=1e-12)
     return bool(touches), first
 
 
@@ -178,8 +177,7 @@ def _family(coords, axis_vals, touched: bool, other_touch: float | None,
     if touched and other_touch is not None:
         at = other_touch / 2
         axis_vals = np.asarray(fn(coords, at), dtype=float)
-    line = lambda t: float(fn(t, at))
-    lines = sorted(float(brentq(line, a, b, xtol=1e-12, rtol=8.9e-16, maxiter=200))
+    lines = sorted(brent_root(lambda t: fn(t, at), a, b, xtol=1e-12, rtol=8.9e-16, maxiter=200)
                    for a, b in _crossings(coords, axis_vals))
     return np.asarray(lines, dtype=float), at
 

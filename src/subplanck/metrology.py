@@ -15,8 +15,8 @@ the original far sooner than the packet widths suggest.
 rule ``Tr(rho sigma) = 2 pi hbar iint W_rho W_sigma`` and broadcasts over
 displacement arrays; it is the production route.  Two independent
 oracles check it: :class:`OverlapScan` integrates the sampled product
-by quadrature, and :func:`overlap_map` autocorrelates a sampled field by
-FFT.
+by quadrature, and the tests' ``overlap_map`` (``tests/oracles.py``)
+autocorrelates a sampled field by FFT.
 
 :func:`find_orthogonality` measures the first orthogonality point with
 a deterministic scan-ray-polish protocol that works for both the cat
@@ -29,14 +29,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft2, next_fast_len, rfft2
-from scipy.optimize import minimize_scalar
 
 from subplanck.core import (
     PhaseSpaceError,
     PhaseSpaceGrid,
     UnitSystem,
     WignerField,
+    brent_min,
     integrate_2d,
 )
 from subplanck.states import CatSpec, MixedSpec, _branches, _pair_exponent
@@ -158,53 +157,6 @@ class OverlapScan:
         return self.value(delta1, delta2) / self.o00
 
 
-@dataclass(frozen=True)
-class OverlapMap:
-    """Overlap on a lag grid, from FFT autocorrelation of a field.
-
-    Attributes
-    ----------
-    delta1s : numpy.ndarray
-        Momentum-boost lags (from the field's ``p`` step).
-    delta2s : numpy.ndarray
-        Position-shift lags (from the field's ``x`` step).
-    values : numpy.ndarray
-        ``values[i, j] = O(delta1s[j], delta2s[i])`` — first index is
-        the position lag, matching the field layout.
-    """
-
-    delta1s: np.ndarray
-    delta2s: np.ndarray
-    values: np.ndarray
-
-    def at_origin(self) -> float:
-        i = int(np.argmin(np.abs(self.delta2s)))
-        j = int(np.argmin(np.abs(self.delta1s)))
-        return float(self.values[i, j])
-
-
-def overlap_map(field: WignerField) -> OverlapMap:
-    """All-lag displacement overlap of a sampled field by FFT.
-
-    Computes the autocorrelation ``sum W[a,b] W[a+i, b+j] dx dp`` with
-    zero padding (linear, not circular, correlation), giving the
-    overlap on every lag of the field's own grid in one pass.  Useful
-    as an independent cross-check of :func:`overlap_closed` and for
-    states known only as sampled fields.
-    """
-    v = field.values
-    nx, npts = v.shape
-    fx = next_fast_len(2 * nx - 1)
-    fp = next_fast_len(2 * npts - 1)
-    spec = rfft2(v, s=(fx, fp))
-    corr = irfft2(np.abs(spec) ** 2, s=(fx, fp))
-    # roll so lags run from -(n-1) .. (n-1)
-    corr = np.roll(corr, (nx - 1, npts - 1), axis=(0, 1))[: 2 * nx - 1, : 2 * npts - 1]
-    d2 = field.grid.dx * np.arange(-(nx - 1), nx)
-    d1 = field.grid.dp * np.arange(-(npts - 1), npts)
-    return OverlapMap(delta1s=d1, delta2s=d2, values=corr * field.grid.dx * field.grid.dp)
-
-
 def overlap_reference(
     delta1,
     delta2,
@@ -284,10 +236,7 @@ def _first_dip(fn, bracket: float, n_scan: int, prominence: float = 1e-6):
     if dips.size == 0:
         return None
     i = int(dips[0]) + 1
-    res = minimize_scalar(
-        fn, bounds=(ts[i - 1], ts[i + 1]), method="bounded", options={"xatol": 1e-12}
-    )
-    return float(res.x), float(res.fun)
+    return brent_min(fn, ts[i - 1], ts[i + 1], xatol=1e-12)
 
 
 def find_orthogonality(
@@ -378,17 +327,10 @@ def find_orthogonality(
     iters = 0
     for _ in range(max_iter):
         iters += 1
-        res1 = minimize_scalar(
-            lambda t: f(t, d2), bounds=(max(d1 - 0.25 * s1, 0.0), d1 + 0.25 * s1),
-            method="bounded", options={"xatol": 1e-13},
-        )
-        d1 = float(res1.x)
-        res2 = minimize_scalar(
-            lambda t: f(d1, t), bounds=(max(d2 - 0.25 * s2, 0.0), d2 + 0.25 * s2),
-            method="bounded", options={"xatol": 1e-13},
-        )
-        d2 = float(res2.x)
-        new = float(res2.fun)
+        d1, _ = brent_min(lambda t: f(t, d2), max(d1 - 0.25 * s1, 0.0), d1 + 0.25 * s1,
+                          xatol=1e-13)
+        d2, new = brent_min(lambda t: f(d1, t), max(d2 - 0.25 * s2, 0.0), d2 + 0.25 * s2,
+                            xatol=1e-13)
         if abs(new - fval) < 1e-14:
             fval = new
             break

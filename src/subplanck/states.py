@@ -25,8 +25,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import pdtrc
 
 from subplanck.core import PhaseSpaceError, UnitSystem
 
@@ -369,10 +367,17 @@ def kerr_evolve(
     TruncationError
         If the probability beyond ``cutoff`` exceeds ``tail_tol``.
     """
+    r = abs(alpha)
+    if math.exp(-r * r / 2) == 0:  # r * r, unlike r ** 2, gives inf rather than raising
+        raise ValueError(
+            f"alpha = {alpha} is too large: the vacuum amplitude exp(-|alpha|^2/2) underflows to 0"
+        )
     if cutoff is None:
         cutoff = default_cutoff(alpha)
     if cutoff < 0:
         raise ValueError(f"cutoff must be non-negative, got {cutoff}")
+    from scipy.special import pdtrc  # only the Kerr route loads scipy
+
     lam = abs(alpha) ** 2
     tail = float(pdtrc(cutoff, lam)) if lam > 0 else 0.0
     if tail > tail_tol:
@@ -484,6 +489,8 @@ def kerr_component_count(
     # the circle-scan maxima off the true component angles (the shift
     # scales like exp(-radius^2 * (1 - cos dtheta_sep))), so the seeds
     # are polished by maximizing the reconstruction fidelity directly.
+    from scipy.optimize import minimize  # only the Kerr route loads scipy
+
     result = minimize(
         lambda a: 1.0 - fidelity_of(a),
         np.array(seeds),

@@ -26,7 +26,6 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.special import roots_hermite
 
 from subplanck.core import (
     CoverageError,
@@ -188,6 +187,9 @@ def _oracle_sum(
 ) -> np.ndarray:
     """Quadrature-route Wigner values on the outer grid ``xs x ps``."""
     if quadrature.rule == "gauss-hermite":
+        # numpy's hermgauss returns NaN weights at orders 384 and 400
+        from scipy.special import roots_hermite
+
         nodes = roots_hermite(quadrature.order)
         pair_fn = lambda cj, ck: _pair_integral_hermite(cj, ck, xs, ps, units.hbar, nodes)
     else:

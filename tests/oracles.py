@@ -6,16 +6,19 @@ it shares no code with the general packet-pair routes in
 Gauss-Hermite node sum is kept here as the reference for the factored
 sum the package evaluates, and the loop scans of the zero-lattice
 detector and of the orthogonality search's dip picker as the references
-for their array masks.
+for their array masks.  The FFT autocorrelation of a sampled field is the
+independent route to the displacement overlap.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import irfft2, next_fast_len, rfft2
 from scipy.optimize import minimize_scalar
 from scipy.special import roots_hermite
 
-from subplanck.core import UnitSystem
+from subplanck.core import UnitSystem, WignerField
 from subplanck.states import GaussianComponent
 from subplanck.wigner import _pair_quadratic
 
@@ -171,3 +174,49 @@ def first_dip_loop(fn, bracket: float, n_scan: int, prominence: float = 1e-6):
             )
             return float(res.x), float(res.fun)
     return None
+
+
+@dataclass(frozen=True)
+class OverlapMap:
+    """Overlap on a lag grid, from FFT autocorrelation of a field.
+
+    Attributes
+    ----------
+    delta1s : numpy.ndarray
+        Momentum-boost lags (from the field's ``p`` step).
+    delta2s : numpy.ndarray
+        Position-shift lags (from the field's ``x`` step).
+    values : numpy.ndarray
+        ``values[i, j] = O(delta1s[j], delta2s[i])`` — first index is
+        the position lag, matching the field layout.
+    """
+
+    delta1s: np.ndarray
+    delta2s: np.ndarray
+    values: np.ndarray
+
+    def at_origin(self) -> float:
+        i = int(np.argmin(np.abs(self.delta2s)))
+        j = int(np.argmin(np.abs(self.delta1s)))
+        return float(self.values[i, j])
+
+
+def overlap_map(field: WignerField) -> OverlapMap:
+    """All-lag displacement overlap of a sampled field by FFT.
+
+    Computes the autocorrelation ``sum W[a,b] W[a+i, b+j] dx dp`` with
+    zero padding (linear, not circular, correlation), giving the
+    overlap on every lag of the field's own grid in one pass: an
+    independent cross-check of :func:`subplanck.metrology.overlap_closed`.
+    """
+    v = field.values
+    nx, npts = v.shape
+    fx = next_fast_len(2 * nx - 1)
+    fp = next_fast_len(2 * npts - 1)
+    spec = rfft2(v, s=(fx, fp))
+    corr = irfft2(np.abs(spec) ** 2, s=(fx, fp))
+    # roll so lags run from -(n-1) .. (n-1)
+    corr = np.roll(corr, (nx - 1, npts - 1), axis=(0, 1))[: 2 * nx - 1, : 2 * npts - 1]
+    d2 = field.grid.dx * np.arange(-(nx - 1), nx)
+    d1 = field.grid.dp * np.arange(-(npts - 1), npts)
+    return OverlapMap(delta1s=d1, delta2s=d2, values=corr * field.grid.dx * field.grid.dp)

@@ -38,6 +38,7 @@ import pytest
 from scipy.optimize import brentq
 
 from conftest import ACCEPTANCE_LINES
+from oracles import overlap_map
 
 from subplanck.cli import main as cli_main
 from subplanck.core import UnitSystem, WignerField, integrate_2d, linspace_grid
@@ -57,7 +58,6 @@ from subplanck.metrology import (
     default_scan_grid,
     find_orthogonality,
     overlap_closed,
-    overlap_map,
 )
 from subplanck.states import (
     coherent_amplitudes,

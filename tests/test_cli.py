@@ -307,6 +307,20 @@ class TestKerr:
         assert rc == 3
         assert last_error(capsys)["kind"] == "TruncationError"
 
+    @pytest.mark.parametrize("alpha", ["40", "1e3", "1e200"])
+    def test_underflowing_alpha_exits_2(self, tmp_path, alpha):
+        # exp(-|alpha|^2/2) is 0 in double precision: every amplitude
+        # would be 0 and the normalised state NaN.  The check runs before
+        # the number basis is allocated (1e3 would need a 16 MB one), and
+        # |alpha|^2 = inf at 1e200 must not raise OverflowError first.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, stderr = run_captured(tmp_path, "kerr", "--alpha-re", alpha)
+        assert [str(w.message) for w in caught] == []
+        error = assert_usage_error(rc, stderr, tmp_path, "kerr")
+        assert len(stderr.strip().splitlines()) == 1
+        assert error["kind"] == "ValueError" and "alpha" in error["message"]
+
 
 class TestCompare:
     def test_mixture_and_compass_agree(self, tmp_path):
@@ -515,10 +529,16 @@ class TestBoundaryProperties:
             ("tiles", "--mmax", "-1"),
             ("kerr", "--radius", "-1"),
             ("kerr", "--cutoff", "-1"),
+            ("tiles", "--threshold", "0"),
+            ("tiles", "--threshold", "-1"),
+            ("kerr", "--samples", "0"),
+            ("kerr", "--samples", "-3"),
         ],
         ids=["decohere-sigma-zero", "decohere-momentum-sigma-zero", "decohere-sigma-negative",
              "decohere-offset-zero", "decohere-t-max-negative", "tiles-kmax-negative",
-             "tiles-mmax-negative", "kerr-radius-negative", "kerr-cutoff-negative"],
+             "tiles-mmax-negative", "kerr-radius-negative", "kerr-cutoff-negative",
+             "tiles-threshold-zero", "tiles-threshold-negative", "kerr-samples-zero",
+             "kerr-samples-negative"],
     )
     def test_out_of_range_value_exits_2(self, tmp_path, argv):
         rc, stderr = run_captured(tmp_path, *argv)
@@ -533,19 +553,36 @@ class TestBoundaryProperties:
         assert "usage:" in capsys.readouterr().out
 
 
-def test_import_skips_unused_scipy_modules():
-    # scipy.integrate and scipy.stats took about 0.6 s of every CLI start
-    # for one function each (simpson, poisson.sf); core builds its own
-    # Simpson weights and states uses scipy.special.pdtrc.  No production
-    # route interpolates, so scipy.interpolate stays unloaded too.
+def test_import_skips_unused_scipy_modules(tmp_path):
+    # Importing scipy took about 80% of every CLI start, for a few scalar
+    # Brent calls (now core.brent_root and core.brent_min) and test-only
+    # oracles.  The CLI imports no scipy module, and neither do the
+    # commands that test the paper's claims: only kerr and the
+    # Gauss-Hermite quadrature route load scipy, on first use.
     src = os.path.dirname(os.path.dirname(subplanck.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = (
-        "import sys, subplanck.cli; "
-        "print(sorted(m for m in sys.modules"
-        " if m.startswith(('scipy.integrate', 'scipy.interpolate', 'scipy.stats'))))"
-    )
+    runs = [
+        ["compare", "--n-scan", "11"],
+        ["sensitivity", "--n-scan", "11"],
+        ["tiles"],
+        ["decohere"],
+        ["wigner", "--nx", "41", "--np", "41"],
+    ]
+    probe = f"""
+import json, sys
+import subplanck.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+loaded = {{"import": scipy_modules()}}
+for argv in {runs!r}:
+    rc = subplanck.cli.main([*argv, "--out", {str(tmp_path)!r}])
+    loaded[" ".join(argv)] = rc if rc else scipy_modules()
+print(json.dumps(loaded))
+"""
     proc = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120, check=True
     )
-    assert proc.stdout.strip() == "[]"
+    loaded = json.loads(proc.stdout)
+    assert loaded == {key: [] for key in ["import", *(" ".join(argv) for argv in runs)]}

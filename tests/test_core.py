@@ -7,6 +7,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq, minimize_scalar
 
 from subplanck import (
     InvalidFieldError,
@@ -19,6 +20,8 @@ from subplanck import (
 )
 from subplanck.core import (
     _format_float,
+    brent_min,
+    brent_root,
     field_summary,
     field_to_csv,
     write_json,
@@ -211,3 +214,77 @@ class TestWriters:
         s = field_summary(f)
         assert s["nx"] == 81 and s["integral"] == pytest.approx(1.0, abs=1e-9)
         assert s["min"] <= s["max"]
+
+
+def _smooth_family(rng, n: int):
+    """``n`` seeded smooth functions: a sinusoid over a line, a Gaussian
+    bump and a quadratic, with random weights, so that brackets and
+    intervals hit interpolation, extrapolation, bisection, parabolic and
+    golden steps, interior minima and minima on a bound."""
+    for _ in range(n):
+        a, w, ph, b, c, d, m, q = rng.normal(size=8) * [1.0, 3.0, 2.0, 0.5, 1.0, 1.0, 1.0, 0.3]
+        yield lambda x, a=a, w=w, ph=ph, b=b, c=c, d=d, m=m, q=q: (
+            a * np.sin(w * x + ph) + b * (x - c) + d * np.exp(-(x - m) * (x - m)) + q * x * x
+        )
+
+
+class TestBrent:
+    """The Brent helpers are ports of scipy's: scipy is their oracle,
+    and they must return the same floats at the package's tolerances."""
+
+    ROOT_TOLS = [(1e-15, 8.9e-16, 100), (1e-12, 8.9e-16, 200)]
+    MIN_TOLS = [1e-12, 1e-13]
+
+    def test_root_matches_brentq(self):
+        rng = np.random.default_rng(2026)
+        brackets = 0
+        for f in _smooth_family(rng, 4000):
+            lo, hi = np.sort(rng.uniform(-4.0, 4.0, size=2))
+            if not f(lo) * f(hi) < 0:
+                continue
+            brackets += 1
+            for xtol, rtol, maxiter in self.ROOT_TOLS:
+                expected = brentq(f, lo, hi, xtol=xtol, rtol=rtol, maxiter=maxiter)
+                # numpy scalar bounds, as the package's callers pass them
+                assert brent_root(f, lo, hi, xtol, rtol, maxiter) == expected
+                assert brent_root(f, float(hi), float(lo), xtol, rtol, maxiter) == brentq(
+                    f, hi, lo, xtol=xtol, rtol=rtol, maxiter=maxiter
+                )
+        assert brackets >= 1000
+
+    def test_root_on_bracket_end(self):
+        f = lambda x: x - 1.0
+        assert brent_root(f, 1.0, 3.0, 1e-12, 8.9e-16) == 1.0
+        assert brent_root(f, -1.0, 1.0, 1e-12, 8.9e-16) == 1.0
+
+    def test_min_matches_bounded_minimize_scalar(self):
+        rng = np.random.default_rng(1973)
+        for f in _smooth_family(rng, 1200):
+            lo, hi = np.sort(rng.uniform(-4.0, 4.0, size=2))
+            for xatol in self.MIN_TOLS:
+                res = minimize_scalar(f, bounds=(lo, hi), method="bounded",
+                                      options={"xatol": xatol})
+                x, fx = brent_min(f, lo, hi, xatol)
+                assert (x, fx) == (res.x, res.fun)
+                assert type(x) is float and type(fx) is float
+
+    def test_min_stops_at_maxiter(self):
+        f = lambda x: np.cos(3 * x) + 0.1 * x
+        res = minimize_scalar(f, bounds=(-2.0, 2.0), method="bounded",
+                              options={"xatol": 1e-13, "maxiter": 5})
+        assert res.nfev == 5
+        assert brent_min(f, -2.0, 2.0, 1e-13, maxiter=5) == (res.x, res.fun)
+
+    def test_same_sign_bracket_raises(self):
+        f = lambda x: x * x + 1.0
+        with pytest.raises(ValueError):
+            brentq(f, -1.0, 2.0)
+        with pytest.raises(ValueError, match="different signs"):
+            brent_root(f, -1.0, 2.0, 1e-12, 8.9e-16)
+
+    def test_root_raises_at_maxiter(self):
+        f = lambda x: np.sin(x) - 0.3
+        with pytest.raises(RuntimeError):
+            brentq(f, -1.0, 2.0, xtol=1e-15, rtol=8.9e-16, maxiter=3)
+        with pytest.raises(RuntimeError, match="after 3 iterations"):
+            brent_root(f, -1.0, 2.0, 1e-15, 8.9e-16, maxiter=3)

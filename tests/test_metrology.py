@@ -7,7 +7,7 @@ import pytest
 from conftest import P0, SIGMA, X0
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import first_dip_loop
+from oracles import first_dip_loop, overlap_map
 
 from subplanck.core import UnitSystem
 from subplanck.metrology import (
@@ -19,7 +19,6 @@ from subplanck.metrology import (
     find_orthogonality,
     fit_effective_coefficients,
     overlap_closed,
-    overlap_map,
     overlap_reference,
 )
 from subplanck.states import (
