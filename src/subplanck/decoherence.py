@@ -352,7 +352,7 @@ def decoherence_time(
         t_hi *= 2.0
     else:
         raise SearchError(f"attenuation never exceeds {threshold} up to t = {t_hi}")
-    return brent_root(f, 0.0, t_hi, xtol=1e-15, rtol=8.9e-16)
+    return brent_root(f, 0.0, t_hi, xtol=1e-15)
 
 
 def attenuation_curve(

@@ -177,7 +177,7 @@ def _family(coords, axis_vals, touched: bool, other_touch: float | None,
     if touched and other_touch is not None:
         at = other_touch / 2
         axis_vals = np.asarray(fn(coords, at), dtype=float)
-    lines = sorted(brent_root(lambda t: fn(t, at), a, b, xtol=1e-12, rtol=8.9e-16, maxiter=200)
+    lines = sorted(brent_root(lambda t: fn(t, at), a, b, xtol=1e-12, maxiter=200)
                    for a, b in _crossings(coords, axis_vals))
     return np.asarray(lines, dtype=float), at
 

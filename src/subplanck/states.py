@@ -354,7 +354,8 @@ def kerr_evolve(
     kappa_t : float
         Dimensionless evolved angle ``kappa * t``.
     cutoff : int, optional
-        Number-basis cutoff; defaults to :func:`default_cutoff`.
+        Number-basis cutoff; defaults to :func:`default_cutoff`, and may
+        be at most 4 times that.
     tail_tol : float
         Maximum coherent-state probability allowed beyond the cutoff.
 
@@ -364,6 +365,9 @@ def kerr_evolve(
 
     Raises
     ------
+    ValueError
+        If ``exp(-|alpha|^2/2)`` underflows to 0, or ``cutoff`` is
+        negative or above 4 times the default, before any allocation.
     TruncationError
         If the probability beyond ``cutoff`` exceeds ``tail_tol``.
     """
@@ -372,10 +376,15 @@ def kerr_evolve(
         raise ValueError(
             f"alpha = {alpha} is too large: the vacuum amplitude exp(-|alpha|^2/2) underflows to 0"
         )
+    need = default_cutoff(alpha)
     if cutoff is None:
-        cutoff = default_cutoff(alpha)
+        cutoff = need
     if cutoff < 0:
         raise ValueError(f"cutoff must be non-negative, got {cutoff}")
+    if cutoff > 4 * need:
+        raise ValueError(
+            f"cutoff {cutoff} is more than 4 times the {need} that |alpha| = {r:g} needs"
+        )
     from scipy.special import pdtrc  # only the Kerr route loads scipy
 
     lam = abs(alpha) ** 2

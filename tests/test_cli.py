@@ -307,6 +307,13 @@ class TestKerr:
         assert rc == 3
         assert last_error(capsys)["kind"] == "TruncationError"
 
+    def test_oversized_cutoff_exits_2(self, tmp_path):
+        # a basis of 1e12 + 1 amplitudes would need 16 TB; the cap on the
+        # cutoff is checked before anything is allocated
+        rc, stderr = run_captured(tmp_path, "kerr", "--cutoff", "1000000000000")
+        error = assert_usage_error(rc, stderr, tmp_path, "kerr")
+        assert error["kind"] == "ValueError" and "cutoff" in error["message"]
+
     @pytest.mark.parametrize("alpha", ["40", "1e3", "1e200"])
     def test_underflowing_alpha_exits_2(self, tmp_path, alpha):
         # exp(-|alpha|^2/2) is 0 in double precision: every amplitude

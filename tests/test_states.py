@@ -164,6 +164,15 @@ class TestKerr:
         with pytest.raises(ValueError, match="cutoff"):
             kerr_evolve(3.0, 1.0, cutoff=-1)
 
+    def test_oversized_cutoff_raises_value_error(self):
+        # default_cutoff(3) = 40: the cap is 160, checked before the
+        # number basis is allocated
+        assert kerr_evolve(3.0, 1.0, cutoff=160).cutoff == 160
+        with pytest.raises(ValueError, match="cutoff 161"):
+            kerr_evolve(3.0, 1.0, cutoff=161)
+        with pytest.raises(ValueError, match="cutoff"):
+            kerr_evolve(3.0, 1.0, cutoff=10**12)
+
     def test_full_period_returns_to_displaced_coherent(self):
         # kappa t = 2 pi flips the sign of alpha; 4 pi restores it.
         alpha = 2.0
