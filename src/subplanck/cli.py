@@ -21,8 +21,9 @@ win over config values, which win over built-in defaults.  Outputs are
 written atomically into ``--out`` with deterministic formatting.
 
 Exit codes: 0 success; 2 usage or configuration error; 3 numeric
-validation failure (truncation, lattice or search failures); 4
-resolution, coverage or window failure.
+validation failure (truncation, lattice or search failures, or an
+overflow or division by zero at extreme magnitudes); 4 resolution,
+coverage or window failure.
 """
 
 from __future__ import annotations
@@ -381,7 +382,7 @@ def _cmd_tiles(args, units: UnitSystem) -> None:
 
 
 def _cmd_sensitivity(args, units: UnitSystem) -> None:
-    _require_bounds(args, positive=("n1", "n2"))
+    _require_bounds(args, positive=("n1", "n2", "n_scan"))
     state = _build_state(args.state, args.x0, args.p0, args.sigma, units)
     d1_max = args.d1_max if args.d1_max is not None else 1.5 * math.pi * units.hbar / args.x0
     d2_max = args.d2_max if args.d2_max is not None else 1.5 * math.pi * units.hbar / args.p0
@@ -465,6 +466,7 @@ def _cmd_kerr(args, units: UnitSystem) -> None:
 
 
 def _cmd_compare(args, units: UnitSystem) -> None:
+    _require_bounds(args, positive=("n_scan",))
     mixed = _build_state("mixed", args.x0, args.p0, args.sigma, units)
     compass = _build_state("compass", args.x0, args.p0, args.sigma, units)
     result = compare_with_compass(
@@ -496,7 +498,8 @@ _COMMANDS = {
 
 _EXIT_CODES = (
     (2, (ConfigError, ValueError)),
-    (3, (InvalidFieldError, TruncationError, LatticeError, SearchError, NoDecompositionError)),
+    (3, (InvalidFieldError, TruncationError, LatticeError, SearchError, NoDecompositionError,
+         ArithmeticError)),
     (4, (ResolutionError, CoverageError, WindowError)),
 )
 

@@ -116,20 +116,11 @@ class PhaseSpaceGrid:
         return np.meshgrid(self.xs(), self.ps(), indexing="ij")
 
 
-def linspace_grid(
-    x_half: float, p_half: float, nx: int, np: int, x_center: float = 0.0, p_center: float = 0.0
-) -> PhaseSpaceGrid:
-    """Symmetric grid covering ``center +- half`` along each axis."""
+def linspace_grid(x_half: float, p_half: float, nx: int, np: int) -> PhaseSpaceGrid:
+    """Grid covering ``-half .. +half`` along each axis."""
     if x_half <= 0 or p_half <= 0:
         raise ValueError("half-widths must be positive")
-    return PhaseSpaceGrid(
-        x_min=x_center - x_half,
-        x_max=x_center + x_half,
-        p_min=p_center - p_half,
-        p_max=p_center + p_half,
-        nx=nx,
-        np=np,
-    )
+    return PhaseSpaceGrid(x_min=-x_half, x_max=x_half, p_min=-p_half, p_max=p_half, nx=nx, np=np)
 
 
 @dataclass(frozen=True)
@@ -290,7 +281,10 @@ def brent_root(f, a: float, b: float, xtol: float, maxiter: int = 100) -> float:
             else:  # extrapolate
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                denom = dblk * dpre * (fblk - fpre)
+                # an underflowed 0 makes brentq's division +-inf or NaN,
+                # which fails the step test: bisect
+                stry = -fcur * (fblk * dblk - fpre * dpre) / denom if denom else math.inf
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
                 spre, scur = scur, stry
             else:

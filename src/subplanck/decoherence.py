@@ -133,12 +133,6 @@ def propagation_matrix(bath: BathParams, t: float) -> np.ndarray:
     return np.array([[m * Gd, G], [m * m * Gdd, m * Gd]])
 
 
-def evolve_phase_point(bath: BathParams, t: float, x: float, p: float) -> tuple[float, float]:
-    """Evolved coordinates of a Wigner peak initially at ``(x, p)``."""
-    v = propagation_matrix(bath, t) @ np.array([x, p], dtype=float)
-    return float(v[0]), float(v[1])
-
-
 Sym2 = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -321,18 +315,19 @@ def decoherence_time(
     units: UnitSystem = UnitSystem(),
     kind: str = "position",
     threshold: float = 1.0,
-    seed: float | None = None,
 ) -> float:
     """Time at which the attenuation exponent crosses ``threshold``.
 
-    Brackets the crossing by geometric growth from a short-time seed
-    and polishes with Brent's method.
+    Brackets the crossing by geometric growth from
+    :func:`tau_formula_position` and polishes with Brent's method.
 
     Raises
     ------
     SearchError
         If the bath cannot decohere the state (``gamma`` or ``T``
         zero) or no crossing is found within the growth budget.
+    ValueError
+        If the starting estimate underflows to 0.
     """
     if bath.gamma == 0 or bath.temperature == 0:
         raise SearchError("a bath with gamma = 0 or T = 0 never attenuates the fringes")
@@ -343,9 +338,11 @@ def decoherence_time(
     def f(t: float) -> float:
         return attenuation_exponent(bath, t, offset, sigma, units, kind) - threshold
 
-    t_hi = seed if seed is not None else tau_formula_position(bath, offset, units)
+    t_hi = tau_formula_position(bath, offset, units)
     if not t_hi > 0:
-        raise ValueError(f"seed must be positive, got {t_hi}")
+        raise ValueError(
+            f"the starting estimate hbar^2 / (4 m gamma kB T offset^2) underflows to {t_hi}"
+        )
     for _ in range(200):
         if f(t_hi) > 0:
             break

@@ -182,12 +182,10 @@ def _family(coords, axis_vals, touched: bool, other_touch: float | None,
     return np.asarray(lines, dtype=float), at
 
 
-def find_zero_lattice(
-    grid: PhaseSpaceGrid,
-    evaluator,
-    threshold: float = 1e-3,
-    min_nodes_per_gap: int = 8,
-) -> ZeroLattice:
+_MIN_NODES_PER_GAP = 8  # grid steps a measured line spacing must span
+
+
+def find_zero_lattice(grid: PhaseSpaceGrid, evaluator, threshold: float = 1e-3) -> ZeroLattice:
     """Measure the lattice of zero lines of a Wigner function.
 
     The evaluator is scanned along ``p = 0`` and ``x = 0`` at the grid's
@@ -208,9 +206,6 @@ def find_zero_lattice(
         Vectorized ``(x, p) -> W``.
     threshold : float
         Relative depth below which an axis minimum counts as a touch.
-    min_nodes_per_gap : int
-        Resolution gate: measured line spacings must span at least this
-        many grid steps, otherwise :class:`ResolutionError` is raised.
 
     Returns
     -------
@@ -221,7 +216,8 @@ def find_zero_lattice(
     LatticeError
         If no zero structure is present on either axis.
     ResolutionError
-        If structure is present but the grid undersamples it.
+        If structure is present but a measured line spacing spans fewer
+        than 8 grid steps.
     """
     xs, ps = grid.xs(), grid.ps()
     row = np.asarray(evaluator(xs, 0.0), dtype=float)  # W(x, 0)
@@ -243,9 +239,9 @@ def find_zero_lattice(
         if lines.size < 2:
             continue
         spacing = float(np.median(np.diff(lines)))
-        if spacing < min_nodes_per_gap * step:
+        if spacing < _MIN_NODES_PER_GAP * step:
             raise ResolutionError(
-                f"{name}-line spacing {spacing:.4g} spans fewer than {min_nodes_per_gap} "
+                f"{name}-line spacing {spacing:.4g} spans fewer than {_MIN_NODES_PER_GAP} "
                 f"grid steps (d{name} = {step:.4g}); refine the grid"
             )
 

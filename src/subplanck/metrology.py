@@ -85,11 +85,7 @@ def overlap_closed(
 
 
 def default_scan_grid(
-    x0: float,
-    p0: float,
-    sigma: float,
-    units: UnitSystem = UnitSystem(),
-    pad: float = 1.0,
+    x0: float, p0: float, sigma: float, units: UnitSystem = UnitSystem()
 ) -> PhaseSpaceGrid:
     """Quadrature grid for overlap integrals of cat-scale states.
 
@@ -99,8 +95,8 @@ def default_scan_grid(
     its spectrally convergent regime.
     """
     hbar = units.hbar
-    x_half = x0 + 8 * sigma + pad
-    p_half = p0 + 4 * hbar / sigma + pad
+    x_half = x0 + 8 * sigma + 1.0
+    p_half = p0 + 4 * hbar / sigma + 1.0
     dx = 2 * math.pi / (4 * p0 / hbar + 12 / sigma)
     dp = 2 * math.pi * hbar / (4 * x0 + 24 * sigma)
     nx = 2 * int(math.ceil(x_half / dx)) + 1
@@ -239,13 +235,15 @@ def _first_dip(fn, bracket: float, n_scan: int, prominence: float = 1e-6):
     return brent_min(fn, ts[i - 1], ts[i + 1], xatol=1e-12)
 
 
+_POLISH_ITERATIONS = 20
+
+
 def find_orthogonality(
     overlap_fn,
     bracket1: float,
     bracket2: float,
     mode: str = "joint",
     tol: float = 0.02,
-    max_iter: int = 20,
     n_scan: int = 601,
 ) -> SensitivityResult:
     """Locate the smallest displacement that suppresses the overlap.
@@ -257,7 +255,8 @@ def find_orthogonality(
        ``s1``, ``s2`` (these fix the oscillation scales);
     2. scan the ray ``t -> (t s1, t s2)`` for its first deep minimum —
        for tile-bearing states the joint zero lies on this ray;
-    3. polish by alternating bounded single-coordinate minimizations.
+    3. polish by alternating bounded single-coordinate minimizations,
+       at most 20 rounds.
 
     Parameters
     ----------
@@ -275,8 +274,6 @@ def find_orthogonality(
     tol : float
         Unit-overlap threshold under which orthogonality counts as
         achieved.
-    max_iter : int
-        Polish iteration budget.
     n_scan : int
         Samples per scan.
 
@@ -325,7 +322,7 @@ def find_orthogonality(
 
     fval = f_star
     iters = 0
-    for _ in range(max_iter):
+    for _ in range(_POLISH_ITERATIONS):
         iters += 1
         d1, _ = brent_min(lambda t: f(t, d2), max(d1 - 0.25 * s1, 0.0), d1 + 0.25 * s1,
                           xatol=1e-13)
@@ -354,7 +351,6 @@ def fit_effective_coefficients(
     p0: float,
     sigma: float,
     units: UnitSystem = UnitSystem(),
-    n_samples: int = 9,
 ) -> dict:
     """Fit the measured unit overlap to its harmonic model.
 
@@ -363,14 +359,14 @@ def fit_effective_coefficients(
 
         a * cos(2 delta1 x0/hbar) + b * cos(2 delta2 p0/hbar) + c
 
-    This samples one oscillation period per axis with
+    This samples one oscillation period per axis, on a 9 x 9 grid, with
     :func:`overlap_closed` and least-squares fits ``(a, b, c)``; the
     residual tells how well the model holds.
     """
     hbar = units.hbar
     d1, d2 = np.meshgrid(
-        np.linspace(0.0, math.pi * hbar / x0, n_samples),
-        np.linspace(0.0, math.pi * hbar / p0, n_samples),
+        np.linspace(0.0, math.pi * hbar / x0, 9),
+        np.linspace(0.0, math.pi * hbar / p0, 9),
         indexing="ij",
     )
     d1, d2 = d1.ravel(), d2.ravel()

@@ -339,12 +339,10 @@ def default_cutoff(alpha: complex) -> int:
     return math.ceil(r * r + 7 * r + 10)
 
 
-def kerr_evolve(
-    alpha: complex,
-    kappa_t: float,
-    cutoff: int | None = None,
-    tail_tol: float = 1e-10,
-) -> FockVector:
+_KERR_TAIL_TOL = 1e-10  # coherent probability allowed beyond the cutoff
+
+
+def kerr_evolve(alpha: complex, kappa_t: float, cutoff: int | None = None) -> FockVector:
     """Evolve a coherent state under the Kerr Hamiltonian ``(hbar kappa / 2) n^2``.
 
     Parameters
@@ -356,8 +354,6 @@ def kerr_evolve(
     cutoff : int, optional
         Number-basis cutoff; defaults to :func:`default_cutoff`, and may
         be at most 4 times that.
-    tail_tol : float
-        Maximum coherent-state probability allowed beyond the cutoff.
 
     Returns
     -------
@@ -369,7 +365,8 @@ def kerr_evolve(
         If ``exp(-|alpha|^2/2)`` underflows to 0, or ``cutoff`` is
         negative or above 4 times the default, before any allocation.
     TruncationError
-        If the probability beyond ``cutoff`` exceeds ``tail_tol``.
+        If the coherent-state probability beyond ``cutoff`` exceeds
+        1e-10.
     """
     r = abs(alpha)
     if math.exp(-r * r / 2) == 0:  # r * r, unlike r ** 2, gives inf rather than raising
@@ -389,9 +386,9 @@ def kerr_evolve(
 
     lam = abs(alpha) ** 2
     tail = float(pdtrc(cutoff, lam)) if lam > 0 else 0.0
-    if tail > tail_tol:
+    if tail > _KERR_TAIL_TOL:
         raise TruncationError(
-            f"cutoff {cutoff} leaves tail probability {tail:.3e} > {tail_tol:.1e} "
+            f"cutoff {cutoff} leaves tail probability {tail:.3e} > {_KERR_TAIL_TOL:.1e} "
             f"for |alpha|^2 = {lam:.3f}"
         )
     n = np.arange(cutoff + 1)
@@ -413,19 +410,17 @@ def coherent_to_gaussian(
     )
 
 
-def kerr_component_count(
-    state: FockVector,
-    radius: float,
-    samples: int = 2880,
-    peak_fraction: float = 0.2,
-    fidelity_tol: float = 1e-6,
-) -> int:
+_PEAK_FRACTION = 0.2  # a Husimi maximum above this share of the highest is a component
+_FIDELITY_TOL = 1e-6  # reconstruction infidelity allowed before giving up
+
+
+def kerr_component_count(state: FockVector, radius: float, samples: int = 2880) -> int:
     """Count coherent components of a Kerr-evolved state.
 
     Scans the Husimi function on the circle ``|beta| = radius``, finds
-    its peaks, and verifies that the state is reproduced (fidelity
-    ``>= 1 - fidelity_tol``) by a least-squares superposition of
-    coherent states at the peak angles.
+    its peaks above 0.2 of the highest, and verifies that the state is
+    reproduced (fidelity ``>= 1 - 1e-6``) by a least-squares
+    superposition of coherent states at the peak angles.
 
     Parameters
     ----------
@@ -436,11 +431,6 @@ def kerr_component_count(
         coherent state.
     samples : int
         Angular sample count.
-    peak_fraction : float
-        A local maximum counts as a component if it exceeds this
-        fraction of the global maximum.
-    fidelity_tol : float
-        Reconstruction infidelity allowed before giving up.
 
     Returns
     -------
@@ -467,7 +457,7 @@ def kerr_component_count(
 
     prev = np.roll(h, 1)
     nxt = np.roll(h, -1)
-    idx = np.nonzero((h > prev) & (h >= nxt) & (h > peak_fraction * hmax))[0]
+    idx = np.nonzero((h > prev) & (h >= nxt) & (h > _PEAK_FRACTION * hmax))[0]
     if idx.size == 0 or idx.size > 32:
         raise NoDecompositionError(f"found {idx.size} Husimi peaks; cannot decompose")
 
@@ -507,10 +497,10 @@ def kerr_component_count(
         options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000},
     )
     fidelity = max(fidelity_of(np.array(seeds)), 1.0 - float(result.fun))
-    if fidelity < 1.0 - fidelity_tol:
+    if fidelity < 1.0 - _FIDELITY_TOL:
         raise NoDecompositionError(
             f"{m} coherent components reproduce the state with fidelity "
-            f"{fidelity:.9f} < 1 - {fidelity_tol:.1e}"
+            f"{fidelity:.9f} < 1 - {_FIDELITY_TOL:.1e}"
         )
     return int(m)
 

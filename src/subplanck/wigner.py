@@ -46,6 +46,8 @@ from subplanck.states import (
 )
 
 _TAIL_SIGMAS = 8.5  # Gaussian tails are below 3e-16 beyond this many widths
+_COVERAGE_SIGMAS = 6.1  # margin check_coverage demands around each packet
+_MAX_FOCK_CUTOFF = 128  # guard against accidentally huge number bases
 
 
 def _pair_integral_uniform(
@@ -178,25 +180,6 @@ def _sum_pairs(
     return total / (2 * math.pi * hbar)
 
 
-def _oracle_sum(
-    state: CatSpec | MixedSpec,
-    xs: np.ndarray,
-    ps: np.ndarray,
-    units: UnitSystem,
-    quadrature: Quadrature,
-) -> np.ndarray:
-    """Quadrature-route Wigner values on the outer grid ``xs x ps``."""
-    if quadrature.rule == "gauss-hermite":
-        # numpy's hermgauss returns NaN weights at orders 384 and 400
-        from scipy.special import roots_hermite
-
-        nodes = roots_hermite(quadrature.order)
-        pair_fn = lambda cj, ck: _pair_integral_hermite(cj, ck, xs, ps, units.hbar, nodes)
-    else:
-        pair_fn = lambda cj, ck: _pair_integral_uniform(cj, ck, xs, ps, units, quadrature.rule)
-    return _sum_pairs(state, units.hbar, pair_fn)
-
-
 def wigner_transform(
     state: CatSpec | MixedSpec,
     grid: PhaseSpaceGrid,
@@ -221,20 +204,16 @@ def wigner_transform(
     -------
     WignerField
     """
-    values = _oracle_sum(state, grid.xs(), grid.ps(), units, quadrature)
-    return WignerField(grid=grid, values=values)
+    xs, ps = grid.xs(), grid.ps()
+    if quadrature.rule == "gauss-hermite":
+        # numpy's hermgauss returns NaN weights at orders 384 and 400
+        from scipy.special import roots_hermite
 
-
-def wigner_point(
-    state: CatSpec | MixedSpec,
-    x: float,
-    p: float,
-    units: UnitSystem = UnitSystem(),
-    quadrature: Quadrature = Quadrature(),
-) -> float:
-    """Single-point version of :func:`wigner_transform`."""
-    xs, ps = np.array([float(x)]), np.array([float(p)])
-    return float(_oracle_sum(state, xs, ps, units, quadrature)[0, 0])
+        nodes = roots_hermite(quadrature.order)
+        pair_fn = lambda cj, ck: _pair_integral_hermite(cj, ck, xs, ps, units.hbar, nodes)
+    else:
+        pair_fn = lambda cj, ck: _pair_integral_uniform(cj, ck, xs, ps, units, quadrature.rule)
+    return WignerField(grid=grid, values=_sum_pairs(state, units.hbar, pair_fn))
 
 
 def wigner_closed_eval(
@@ -267,16 +246,6 @@ def wigner_closed(
     return WignerField(grid=grid, values=values)
 
 
-def wigner_closed_point(
-    state: CatSpec | MixedSpec,
-    x: float,
-    p: float,
-    units: UnitSystem = UnitSystem(),
-) -> float:
-    """Single-point version of :func:`wigner_closed`."""
-    return float(wigner_closed_eval(state, float(x), float(p), units))
-
-
 def characteristic_of_cat(
     state: CatSpec | MixedSpec,
     Q,
@@ -306,7 +275,6 @@ def wigner_of_fock(
     grid: PhaseSpaceGrid,
     sigma_ref: float,
     units: UnitSystem = UnitSystem(),
-    max_cutoff: int = 128,
 ) -> WignerField:
     """Wigner function of a number-basis state.
 
@@ -321,11 +289,9 @@ def wigner_of_fock(
     sigma_ref : float
         Ground-state position width of the oscillator basis.
     units : UnitSystem
-    max_cutoff : int
-        Guard against accidentally huge bases.
     """
-    if state.cutoff > max_cutoff:
-        raise ValueError(f"cutoff {state.cutoff} exceeds limit {max_cutoff}")
+    if state.cutoff > _MAX_FOCK_CUTOFF:
+        raise ValueError(f"cutoff {state.cutoff} exceeds limit {_MAX_FOCK_CUTOFF}")
     if sigma_ref <= 0:
         raise ValueError(f"sigma_ref must be positive, got {sigma_ref}")
     hbar = units.hbar
@@ -358,17 +324,15 @@ def wigner_of_fock(
 
 
 def check_coverage(
-    state: CatSpec | MixedSpec,
-    grid: PhaseSpaceGrid,
-    units: UnitSystem = UnitSystem(),
-    n_sigma: float = 6.1,
+    state: CatSpec | MixedSpec, grid: PhaseSpaceGrid, units: UnitSystem = UnitSystem()
 ) -> None:
     """Raise :class:`CoverageError` unless the window contains every
-    component center with an ``n_sigma`` margin along both axes."""
+    component center with a margin of 6.1 packet widths along both axes."""
     for _, cat in _branches(state):
         for comp in cat.components:
-            x_lo, x_hi = comp.x0 - n_sigma * comp.sigma, comp.x0 + n_sigma * comp.sigma
-            p_half = n_sigma * units.hbar / (2 * comp.sigma)
+            x_half = _COVERAGE_SIGMAS * comp.sigma
+            x_lo, x_hi = comp.x0 - x_half, comp.x0 + x_half
+            p_half = _COVERAGE_SIGMAS * units.hbar / (2 * comp.sigma)
             p_lo, p_hi = comp.p0 - p_half, comp.p0 + p_half
             if x_lo < grid.x_min or x_hi > grid.x_max:
                 raise CoverageError(
@@ -380,31 +344,3 @@ def check_coverage(
                     f"p window [{grid.p_min}, {grid.p_max}] misses component support "
                     f"[{p_lo:.3f}, {p_hi:.3f}]"
                 )
-
-
-def compare_closed_vs_oracle(
-    state: CatSpec | MixedSpec,
-    grid: PhaseSpaceGrid,
-    units: UnitSystem = UnitSystem(),
-    quadrature: Quadrature = Quadrature(),
-) -> dict:
-    """Compare the closed-form and quadrature routes on a grid.
-
-    Returns
-    -------
-    dict
-        ``max_abs_diff``, ``l2_diff`` (integral-weighted), location of
-        the worst point, and ``max_abs_value`` of the closed form for
-        scale.
-    """
-    closed = wigner_closed(state, grid, units)
-    oracle = wigner_transform(state, grid, units, quadrature)
-    diff = np.abs(closed.values - oracle.values)
-    i, j = np.unravel_index(int(np.argmax(diff)), diff.shape)
-    return {
-        "max_abs_diff": float(diff.max()),
-        "l2_diff": float(math.sqrt(float((diff**2).sum()) * grid.dx * grid.dp)),
-        "x_at_max": float(grid.xs()[i]),
-        "p_at_max": float(grid.ps()[j]),
-        "max_abs_value": float(np.abs(closed.values).max()),
-    }

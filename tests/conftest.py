@@ -1,15 +1,19 @@
 """Shared fixtures: the reference state family and bath."""
 
+import numpy as np
 import pytest
 
 from subplanck import (
     BathParams,
+    Quadrature,
     UnitSystem,
     linspace_grid,
     make_cat_momentum,
     make_cat_position,
     make_compass,
     make_mixed,
+    wigner_closed,
+    wigner_transform,
 )
 
 X0 = 4.5
@@ -18,6 +22,12 @@ SIGMA = 0.5
 
 # verdict lines registered by the acceptance tests, printed after the run
 ACCEPTANCE_LINES: list[str] = []
+
+
+def route_gap(state, grid, units, quadrature=Quadrature()) -> float:
+    """Largest gap between the closed-form and quadrature fields on ``grid``."""
+    closed = wigner_closed(state, grid, units).values
+    return float(np.abs(closed - wigner_transform(state, grid, units, quadrature).values).max())
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

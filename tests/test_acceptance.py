@@ -37,7 +37,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_LINES, route_gap
 from oracles import overlap_map
 
 from subplanck.cli import main as cli_main
@@ -69,7 +69,6 @@ from subplanck.states import (
     make_mixed,
 )
 from subplanck.wigner import (
-    compare_closed_vs_oracle,
     wigner_closed,
     wigner_closed_eval,
 )
@@ -175,10 +174,7 @@ def quoted_point_overlaps(mixed_search, mixed_lag_overlap):
 def test_criterion_01_closed_forms_match_integral_oracle(
     cat_x, cat_p, mixed, big_grid
 ):
-    worst_ref = 0.0
-    for state in (cat_x, cat_p, mixed):
-        report = compare_closed_vs_oracle(state, big_grid, UNITS)
-        worst_ref = max(worst_ref, report["max_abs_diff"])
+    worst_ref = max(route_gap(state, big_grid, UNITS) for state in (cat_x, cat_p, mixed))
     rng = np.random.default_rng(20260819)
     worst_draw = 0.0
     for _ in range(20):
@@ -189,8 +185,7 @@ def test_criterion_01_closed_forms_match_integral_oracle(
         cx = make_cat_position(x0, sigma, UNITS)
         cp = make_cat_momentum(p0, sigma, UNITS)
         for state in (cx, cp, make_mixed(cx, cp)):
-            report = compare_closed_vs_oracle(state, grid, UNITS)
-            worst_draw = max(worst_draw, report["max_abs_diff"])
+            worst_draw = max(worst_draw, route_gap(state, grid, UNITS))
     check(
         "01",
         worst_ref < 1e-8 and worst_draw < 1e-6,

@@ -444,6 +444,20 @@ _FLOAT_OPTIONS = st.sampled_from([
     ("compare", "tol"), ("compare", "sigma"),
 ])
 _COUNT_OPTIONS = st.sampled_from([("sensitivity", "n1"), ("sensitivity", "n2"), ("decohere", "nt")])
+# Every float flag of every subcommand, with arguments that keep each run small.
+_SMALL_RUNS = {
+    "wigner": (["--nx", "21", "--np", "21"], ["x0", "p0", "sigma", "x-half", "p-half"]),
+    "tiles": ([], ["x0", "p0", "sigma", "window-x", "window-p", "threshold"]),
+    "sensitivity": (["--n1", "2", "--n2", "2", "--n-scan", "21"],
+                    ["x0", "p0", "sigma", "d1-max", "d2-max", "tol"]),
+    "decohere": (["--nt", "3"], ["offset", "sigma", "mass", "gamma", "temperature", "t-max"]),
+    "kerr": ([], ["alpha-re", "alpha-im", "kappa-t", "radius"]),
+    "compare": (["--n-scan", "21"], ["x0", "p0", "sigma", "tol"]),
+}
+_FLOAT_FLAGS = st.sampled_from(
+    [(command, flag) for command, (_, flags) in _SMALL_RUNS.items() for flag in ["hbar", *flags]]
+)
+_MAGNITUDES = st.sampled_from([1e-300, 1e-200, 1e-100, 1e100, 1e160, 1e200, 1e300])
 
 
 def run_captured(out_dir, *argv: str) -> tuple[int, str]:
@@ -501,6 +515,24 @@ class TestBoundaryProperties:
         error = assert_usage_error(rc, stderr, out, command)
         assert f"--{key}" in error["message"]
 
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(option=_FLOAT_FLAGS, value=_MAGNITUDES)
+    def test_extreme_magnitude_keeps_exit_contract(self, tmp_path_factory, option, value):
+        # An overflow or a division by zero at an extreme magnitude is a
+        # numeric failure (exit 3), never a traceback.  numpy's
+        # RuntimeWarnings are recorded, not raised: the command line
+        # prints them and goes on.
+        command, flag = option
+        small, _ = _SMALL_RUNS[command]
+        out = tmp_path_factory.mktemp("extreme")
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter("always", RuntimeWarning)
+            rc, stderr = run_captured(out, command, *small, f"--{flag}={value!r}")
+        assert rc in (0, 2, 3, 4)
+        assert "Traceback" not in stderr
+        if rc:
+            assert json.loads(stderr.strip().splitlines()[-1])["error"]["code"] == rc
+
     def test_int_config_for_float_option_is_converted(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"nt": 3, "t-max": 1}))
@@ -540,12 +572,17 @@ class TestBoundaryProperties:
             ("tiles", "--threshold", "-1"),
             ("kerr", "--samples", "0"),
             ("kerr", "--samples", "-3"),
+            ("sensitivity", "--n-scan", "0"),
+            ("sensitivity", "--n-scan", "-3"),
+            ("compare", "--n-scan", "0"),
+            ("compare", "--n-scan", "-3"),
         ],
         ids=["decohere-sigma-zero", "decohere-momentum-sigma-zero", "decohere-sigma-negative",
              "decohere-offset-zero", "decohere-t-max-negative", "tiles-kmax-negative",
              "tiles-mmax-negative", "kerr-radius-negative", "kerr-cutoff-negative",
              "tiles-threshold-zero", "tiles-threshold-negative", "kerr-samples-zero",
-             "kerr-samples-negative"],
+             "kerr-samples-negative", "sensitivity-n-scan-zero", "sensitivity-n-scan-negative",
+             "compare-n-scan-zero", "compare-n-scan-negative"],
     )
     def test_out_of_range_value_exits_2(self, tmp_path, argv):
         rc, stderr = run_captured(tmp_path, *argv)

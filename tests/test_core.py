@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize_scalar
 
+import subplanck
 from subplanck import (
     InvalidFieldError,
     PhaseSpaceGrid,
@@ -50,11 +51,6 @@ class TestGrid:
         # first index is x, second is p
         assert np.all(xm[0, :] == g.xs()[0])
         assert np.all(pm[:, 0] == g.ps()[0])
-
-    def test_linspace_grid_centers(self):
-        g = linspace_grid(2.0, 3.0, 5, 5, x_center=1.0, p_center=-2.0)
-        assert g.x_min == -1.0 and g.x_max == 3.0
-        assert g.p_min == -5.0 and g.p_max == 1.0
 
     def test_odd_grid_contains_origin(self):
         # linspace may leave ~1 ulp of rounding on the center node.
@@ -251,6 +247,15 @@ class TestBrent:
                     f, hi, lo, xtol=xtol, rtol=8.9e-16, maxiter=maxiter
                 )
         assert brackets >= 1000
+        # Wide brackets, where the extrapolation step's denominator
+        # underflows to 0 and brentq bisects.
+        for s in (1e160, 1e200):
+            for f in (lambda x: (x / s) ** 3 - 0.3, lambda x: 1 - math.exp(-x / s) - 0.5):
+                for xtol, maxiter in self.ROOT_TOLS:
+                    for lo, hi in ((0.0, 2 * s), (2 * s, 0.0)):
+                        assert brent_root(f, lo, hi, xtol, maxiter) == brentq(
+                            f, lo, hi, xtol=xtol, rtol=8.9e-16, maxiter=maxiter
+                        )
 
     def test_root_on_bracket_end(self):
         f = lambda x: x - 1.0
@@ -281,3 +286,16 @@ class TestBrent:
             brentq(f, -1.0, 2.0, xtol=1e-15, rtol=8.9e-16, maxiter=3)
         with pytest.raises(RuntimeError, match="after 3 iterations"):
             brent_root(f, -1.0, 2.0, 1e-15, maxiter=3)
+
+
+def test_all_lists_exactly_the_package_bindings():
+    # A deleted function must not leave a dangling export, and an
+    # imported one must not be left out.
+    bound = {
+        name for name, value in vars(subplanck).items()
+        if not name.startswith("_") and getattr(value, "__module__", "").startswith("subplanck.")
+    }
+    assert len(set(subplanck.__all__)) == len(subplanck.__all__)
+    assert set(subplanck.__all__) == bound
+    for name in subplanck.__all__:
+        assert getattr(subplanck, name).__name__ == name

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 from subplanck.core import UnitSystem, integrate_2d, linspace_grid
 from subplanck.decoherence import (
     BathParams,
+    a_coefficients,
     attenuation_curve,
     attenuation_exponent,
     attenuation_numeric,
     decoherence_time,
     evolve_characteristic,
-    evolve_phase_point,
     evolved_wigner,
     bath_moments,
     green_function,
@@ -92,11 +92,36 @@ class TestBathBasics:
             _, xv, _ = bath_moments(bath, t, units)
             assert (xx_hi - xx_lo) / (2 * h) == pytest.approx(xv, rel=1e-5)
 
-    def test_phase_point_flow(self, bath):
-        M = propagation_matrix(bath, 0.6)
-        got = evolve_phase_point(bath, 0.6, 1.2, -0.7)
-        want = M @ np.array([1.2, -0.7])
-        assert got == pytest.approx(tuple(want), rel=1e-14)
+
+class TestCovariance:
+    UNITS = UnitSystem(hbar=0.7)
+
+    @pytest.mark.parametrize("sigma", [0.3, 0.5, 1.7])
+    @pytest.mark.parametrize("mass", [0.4, 1.0, 2.5])
+    def test_free_flow(self, sigma, mass):
+        # gamma = 0: no diffusion, and the packet shears as x -> x + p t / m
+        t = np.linspace(0.0, 3.0, 7)
+        h = self.UNITS.hbar**2 / (4 * sigma**2)
+        free = BathParams(mass=mass, gamma=0.0, temperature=10.0)
+        got = a_coefficients(free, t, sigma, self.UNITS)
+        want = (sigma**2 + h * t**2 / mass**2, h * t / mass, np.full_like(t, h))
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("sigma", [0.3, 0.5, 1.7])
+    @pytest.mark.parametrize("mass", [0.4, 1.0, 2.5])
+    @pytest.mark.parametrize("gamma", [0.0, 0.1, 3.0])
+    def test_start_has_no_diffusion(self, sigma, mass, gamma):
+        # At t = 0 the bath has added nothing, so A = M(0) diag(sigma^2, h) M(0)^T.
+        # The exact Ohmic flow has M(0) = [[1, 0], [-m gamma, 1]]: it kicks p
+        # by -m gamma x (the initial slip), so A = (sigma^2, 0, h) only at gamma = 0.
+        h = self.UNITS.hbar**2 / (4 * sigma**2)
+        kick = mass * gamma
+        bath = BathParams(mass=mass, gamma=gamma, temperature=10.0)
+        got = a_coefficients(bath, np.zeros(3), sigma, self.UNITS)
+        want = (sigma**2, -kick * sigma**2, kick * kick * sigma**2 + h)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, np.full(3, w), rtol=1e-14, atol=0)
 
 
 class TestAttenuation:
@@ -263,11 +288,6 @@ class TestDecoherenceTime:
         t_one = decoherence_time(bath, X0, SIGMA, units, threshold=1.0)
         t_two = decoherence_time(bath, X0, SIGMA, units, threshold=2.0)
         assert t_half < t_one < t_two
-
-    def test_seed_does_not_change_root(self, bath, units):
-        a = decoherence_time(bath, X0, SIGMA, units)
-        b = decoherence_time(bath, X0, SIGMA, units, seed=1e-6)
-        assert a == pytest.approx(b, rel=1e-12)
 
     def test_undamped_bath_raises(self, units):
         free = BathParams(mass=1.0, gamma=0.0, temperature=10.0)

@@ -158,9 +158,11 @@ class TestLatticeDetection:
         assert tile_area(lattice) == pytest.approx(predicted, rel=1e-9)
         assert tile_area(lattice) < HBAR  # sub-Planck central tile
 
-    def test_resolution_gate(self, tile_grid):
-        with pytest.raises(ResolutionError, match="spacing"):
-            find_zero_lattice(tile_grid, mixed_evaluator, min_nodes_per_gap=16)
+    def test_resolution_gate(self):
+        # 257 nodes put about 8.9 steps in a gap; 129 nodes put 4.5
+        coarse = linspace_grid(X0 / 2, P0 / 2, 129, 129)
+        with pytest.raises(ResolutionError, match="spans fewer than 8 grid steps"):
+            find_zero_lattice(coarse, mixed_evaluator)
 
     def test_no_structure_raises(self, units_module):
         packet = CatSpec(
