@@ -3,7 +3,8 @@
 Tools to build cat, mixed, and compass states; evaluate their Wigner
 functions both in closed form and from the defining integral; locate and
 quantify sub-Planck interference structure; run displacement-sensitivity
-scans; and evolve states under Ohmic high-temperature decoherence.
+scans; and compute how an Ohmic high-temperature bath attenuates their
+interference.
 """
 
 from subplanck.core import (
@@ -15,7 +16,6 @@ from subplanck.core import (
     ResolutionError,
     UnitSystem,
     WignerField,
-    WindowError,
     integrate_2d,
     linspace_grid,
 )
@@ -26,7 +26,6 @@ from subplanck.states import (
     MixedSpec,
     NoDecompositionError,
     TruncationError,
-    coherent_to_gaussian,
     kerr_component_count,
     kerr_evolve,
     make_cat_momentum,
@@ -34,15 +33,12 @@ from subplanck.states import (
     make_compass,
     make_mixed,
     psi_eval,
-    state_from_json,
     state_to_json,
 )
 from subplanck.wigner import (
-    characteristic_of_cat,
     check_coverage,
     wigner_closed,
     wigner_closed_eval,
-    wigner_of_fock,
     wigner_transform,
 )
 from subplanck.interference import (
@@ -52,34 +48,25 @@ from subplanck.interference import (
     find_zero_lattice,
     lattice_report,
     tile_area,
-    zero_condition_residual,
 )
 from subplanck.metrology import (
-    OverlapScan,
     SearchError,
     SensitivityResult,
     compare_with_compass,
-    default_scan_grid,
     find_orthogonality,
-    fit_effective_coefficients,
     overlap_closed,
     overlap_reference,
 )
 from subplanck.decoherence import (
     BathParams,
-    a_coefficients,
     attenuation_curve,
     attenuation_exponent,
-    attenuation_numeric,
     bath_moments,
     decoherence_time,
-    evolve_characteristic,
-    evolved_wigner,
     green_function,
     propagation_matrix,
     tau_formula_momentum,
     tau_formula_position,
-    visibility_from_field,
 )
 
 __version__ = "0.1.0"
@@ -94,7 +81,6 @@ __all__ = [
     "LatticeError",
     "MixedSpec",
     "NoDecompositionError",
-    "OverlapScan",
     "PhaseSpaceError",
     "PhaseSpaceGrid",
     "Quadrature",
@@ -104,25 +90,16 @@ __all__ = [
     "TruncationError",
     "UnitSystem",
     "WignerField",
-    "WindowError",
     "ZeroLattice",
-    "a_coefficients",
     "attenuation_curve",
     "attenuation_exponent",
-    "attenuation_numeric",
     "bath_moments",
-    "characteristic_of_cat",
     "check_coverage",
     "checkerboard_report",
-    "coherent_to_gaussian",
     "compare_with_compass",
     "decoherence_time",
-    "default_scan_grid",
-    "evolve_characteristic",
-    "evolved_wigner",
     "find_orthogonality",
     "find_zero_lattice",
-    "fit_effective_coefficients",
     "green_function",
     "integrate_2d",
     "kerr_component_count",
@@ -137,15 +114,11 @@ __all__ = [
     "overlap_reference",
     "propagation_matrix",
     "psi_eval",
-    "state_from_json",
     "state_to_json",
     "tau_formula_momentum",
     "tau_formula_position",
     "tile_area",
-    "visibility_from_field",
     "wigner_closed",
     "wigner_closed_eval",
-    "wigner_of_fock",
     "wigner_transform",
-    "zero_condition_residual",
 ]

@@ -21,9 +21,9 @@ win over config values, which win over built-in defaults.  Outputs are
 written atomically into ``--out`` with deterministic formatting.
 
 Exit codes: 0 success; 2 usage or configuration error; 3 numeric
-validation failure (truncation, lattice or search failures, or an
-overflow or division by zero at extreme magnitudes); 4 resolution,
-coverage or window failure.
+validation failure (truncation, lattice or search failures, or a
+floating-point overflow, division by zero or invalid operation at
+extreme magnitudes; underflow passes); 4 resolution or coverage failure.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from subplanck.core import (
     Quadrature,
     ResolutionError,
     UnitSystem,
-    WindowError,
     _format_float,
     field_summary,
     field_to_csv,
@@ -500,7 +499,7 @@ _EXIT_CODES = (
     (2, (ConfigError, ValueError)),
     (3, (InvalidFieldError, TruncationError, LatticeError, SearchError, NoDecompositionError,
          ArithmeticError)),
-    (4, (ResolutionError, CoverageError, WindowError)),
+    (4, (ResolutionError, CoverageError)),
 )
 
 
@@ -526,7 +525,10 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"threads must be >= 1, got {args.threads}")
         _check_finite(args, registry[args.command])
         units = UnitSystem(hbar=args.hbar)
-        _COMMANDS[args.command](args, units)
+        # a non-finite intermediate is a failed computation, not a result:
+        # FloatingPointError is an ArithmeticError and exits 3
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            _COMMANDS[args.command](args, units)
     except Exception as exc:  # noqa: BLE001 - single funnel to exit codes
         return _fail(exc)
     return 0

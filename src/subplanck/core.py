@@ -36,10 +36,6 @@ class ResolutionError(PhaseSpaceError):
     """A grid is too coarse to resolve the structure being measured."""
 
 
-class WindowError(PhaseSpaceError):
-    """An integration window clips non-negligible weight at its edges."""
-
-
 @dataclass(frozen=True)
 class UnitSystem:
     """Physical constants fixing the unit conventions.

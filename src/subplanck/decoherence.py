@@ -14,11 +14,12 @@ terms sit far from the characteristic origin and are crushed by the
 damping factor long before the packets relax — the decoherence-time
 separation this module quantifies.
 
-The attenuation exponent of the cross term is computed three ways:
-a closed 2x2-determinant formula (:func:`attenuation_exponent`), an
-independent Gaussian-reduction route (:func:`attenuation_numeric`),
-and directly off the evolved Wigner field as a fringe-contrast
-visibility (:func:`evolved_wigner` + :func:`visibility_from_field`).
+The CLI computes the attenuation exponent of the cross term from a
+closed 2x2-determinant formula (:func:`attenuation_exponent`) and the
+times at which it crosses given thresholds (:func:`decoherence_time`).
+The independent routes that check it, the evolved Wigner field read as
+a fringe-contrast visibility and the Gaussian reduction
+(:func:`attenuation_numeric`), are test oracles.
 """
 
 from __future__ import annotations
@@ -28,17 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from subplanck.core import (
-    PhaseSpaceGrid,
-    UnitSystem,
-    WignerField,
-    WindowError,
-    _uniform_weights,
-    brent_root,
-)
+from subplanck.core import UnitSystem, brent_root
 from subplanck.metrology import SearchError
-from subplanck.states import CatSpec, MixedSpec
-from subplanck.wigner import characteristic_of_cat
 
 
 @dataclass(frozen=True)
@@ -166,16 +158,6 @@ def _add(first: Sym2, *rest: Sym2) -> Sym2:
     return tuple(sum(others, a) for a, *others in zip(first, *rest))
 
 
-def a_coefficients(bath: BathParams, t, sigma: float, units: UnitSystem = UnitSystem()) -> Sym2:
-    """Entries ``(A11, A12, A22)`` of the evolved packet covariance.
-
-    ``A11`` is the position variance, ``A22`` the momentum variance and
-    ``A12`` the symmetrized cross moment of a single Gaussian packet of
-    initial spread ``sigma`` after time ``t`` of bath contact.
-    """
-    return _add(*_covariance_parts(bath, t, sigma, units))
-
-
 def _det2(a: Sym2) -> np.ndarray:
     a11, a12, a22 = a
     return a11 * a22 - a12 * a12
@@ -219,7 +201,7 @@ def attenuation_exponent(
         A_x = (offset^2 / 2 sigma^2)      * det(As + D) / det(As + Ah + D)
         A_p = (2 offset^2 sigma^2/hbar^2) * det(Ah + D) / det(As + Ah + D)
 
-    in terms of the covariance pieces of :func:`a_coefficients`.  The
+    in terms of the covariance pieces of :func:`_covariance_parts`.  The
     numerator determinant vanishes identically at ``t = 0`` (each
     remaining pair is a rank-one matrix), so no special-casing of the
     initial instant is needed.  At short times ``A_x`` grows linearly
@@ -260,8 +242,9 @@ def attenuation_numeric(
 
         A = c^T H0 c / 2  -  b^T Htf^{-1} b / 2,      b = M^T H0 c.
 
-    Agrees with :func:`attenuation_exponent` to rounding; kept as a
-    structurally different cross-check.
+    Agrees with :func:`attenuation_exponent` to rounding.  No CLI path
+    calls it: it is a structurally different cross-check, kept in this
+    module only because the benchmark harness imports it from here.
     """
     if kind not in ("position", "momentum"):
         raise ValueError(f"unknown kind {kind!r}")
@@ -349,7 +332,8 @@ def decoherence_time(
         t_hi *= 2.0
     else:
         raise SearchError(f"attenuation never exceeds {threshold} up to t = {t_hi}")
-    return brent_root(f, 0.0, t_hi, xtol=1e-15)
+    # relative to the bracket, so the root does not depend on the time unit
+    return brent_root(f, 0.0, t_hi, xtol=1e-15 * t_hi)
 
 
 def attenuation_curve(
@@ -364,175 +348,3 @@ def attenuation_curve(
     t = np.asarray(times, dtype=float)
     a = attenuation_exponent(bath, t, offset, sigma, units, kind)
     return list(zip(t.tolist(), a.tolist(), np.exp(-a).tolist()))
-
-
-def evolve_characteristic(
-    state: CatSpec | MixedSpec,
-    bath: BathParams,
-    t: float,
-    Q,
-    P,
-    units: UnitSystem = UnitSystem(),
-) -> np.ndarray:
-    """Characteristic function of the state after bath contact.
-
-    Applies the exact high-temperature map: evaluate the initial
-    characteristic function at the flowed argument ``M (Q, P)`` and
-    multiply by the Brownian damping factor.  ``Q`` and ``P``
-    broadcast against each other.
-    """
-    hbar = units.hbar
-    Q = np.asarray(Q, dtype=float)
-    P = np.asarray(P, dtype=float)
-    G, Gd, Gdd = green_function(bath, t)
-    m = bath.mass
-    base = characteristic_of_cat(state, m * Gd * Q + G * P, m * m * Gdd * Q + m * Gd * P, units)
-    xx, xv, vv = bath_moments(bath, t, units)
-    damp = np.exp(-(xx * P**2 + m * xv * Q * P + m * m * vv * Q**2) / (2 * hbar**2))
-    return damp * base
-
-
-def evolved_wigner(
-    state: CatSpec | MixedSpec,
-    bath: BathParams,
-    t: float,
-    grid: PhaseSpaceGrid,
-    units: UnitSystem = UnitSystem(),
-) -> WignerField:
-    """Wigner function after bath contact, via the characteristic plane.
-
-    Samples the evolved characteristic function on a window sized from
-    the packet geometry, the flow matrix and the bath spreading, then
-    inverts the transform onto ``grid`` with a dense matrix DFT.  The
-    steps are chosen so the oscillation of the integrand stays below
-    the anti-aliasing bound for every requested output point.
-
-    Raises
-    ------
-    WindowError
-        If the sampled window fails to contain the characteristic
-        support (edge magnitude above ``1e-6`` of the peak).
-    """
-    hbar = units.hbar
-    m = bath.mass
-    packets = state._packets
-    smin, smax = float(packets.sigma.min()), float(packets.sigma.max())
-    Dx, Dp = float(np.ptp(packets.x0)), float(np.ptp(packets.p0))
-
-    # window in the flowed (primed) frame, pulled back through the flow
-    c_primed = np.array([Dx + 26 * smax, Dp + 9 * hbar / smin])
-    M = propagation_matrix(bath, t)
-    cQ, cP = np.abs(np.linalg.inv(M)) @ c_primed
-
-    # evolved real-space support fixes the sampling steps
-    centers = np.stack([packets.x0, packets.p0], axis=1)
-    evolved = centers @ M.T
-    xx, xv, vv = bath_moments(bath, t, units)
-    Rx = np.abs(evolved[:, 0]).max() + 9 * math.sqrt(
-        smax**2 + (hbar * t / (2 * smin * m)) ** 2 + xx
-    )
-    Rp = np.abs(evolved[:, 1]).max() + 9 * math.sqrt((hbar / (2 * smin)) ** 2 + m * m * vv)
-    Gx = max(abs(grid.x_min), abs(grid.x_max))
-    Gp = max(abs(grid.p_min), abs(grid.p_max))
-    dQ = 2 * math.pi * hbar / (1.1 * (Rp + Gp))
-    dP = 2 * math.pi * hbar / (1.1 * (Rx + Gx))
-    nQ = 2 * int(math.ceil(cQ / dQ)) + 1
-    nP = 2 * int(math.ceil(cP / dP)) + 1
-    Qs = dQ * np.arange(-(nQ // 2), nQ // 2 + 1)
-    Ps = dP * np.arange(-(nP // 2), nP // 2 + 1)
-
-    C = evolve_characteristic(state, bath, t, Qs[:, None], Ps[None, :], units)
-    peak = np.abs(C).max()
-    edge = max(
-        np.abs(C[0, :]).max(),
-        np.abs(C[-1, :]).max(),
-        np.abs(C[:, 0]).max(),
-        np.abs(C[:, -1]).max(),
-    )
-    if edge > 1e-6 * peak:
-        raise WindowError(
-            f"characteristic support leaks past the sampling window: "
-            f"edge/peak = {edge / peak:.3e}"
-        )
-
-    wQ = _uniform_weights("trapezoid", nQ, dQ)
-    wP = _uniform_weights("trapezoid", nP, dP)
-    weighted = C * wQ[:, None] * wP[None, :]
-    Ex = np.exp(1j * np.outer(grid.xs(), Ps) / hbar)
-    Ep = np.exp(1j * np.outer(Qs, grid.ps()) / hbar)
-    values = (Ex @ weighted.T @ Ep).real / (2 * math.pi * hbar) ** 2
-    return WignerField(grid=grid, values=values)
-
-
-def _refine_peak(values: np.ndarray, i: int, j: int) -> float:
-    """Continuous peak value near grid node ``(i, j)``.
-
-    Fits ``log values`` on the 3x3 stencil with a full quadratic and
-    maximizes it.  Exact for a Gaussian lobe; falls back to the node
-    value at grid edges, for non-positive stencils, or when the fit
-    is not concave.
-    """
-    if not (1 <= i < values.shape[0] - 1 and 1 <= j < values.shape[1] - 1):
-        return float(values[i, j])
-    patch = values[i - 1 : i + 2, j - 1 : j + 2]
-    if not (patch > 0).all():
-        return float(values[i, j])
-    di, dj = np.meshgrid([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], indexing="ij")
-    cols = np.stack(
-        [np.ones(9), di.ravel(), dj.ravel(), di.ravel() ** 2, di.ravel() * dj.ravel(), dj.ravel() ** 2],
-        axis=1,
-    )
-    coef, *_ = np.linalg.lstsq(cols, np.log(patch).ravel(), rcond=None)
-    c0, gx, gy, hxx, hxy, hyy = coef
-    hess = np.array([[2 * hxx, hxy], [hxy, 2 * hyy]])
-    if not (hess[0, 0] < 0 and np.linalg.det(hess) > 0):
-        return float(values[i, j])
-    step = np.linalg.solve(hess, -np.array([gx, gy]))
-    if np.abs(step).max() > 1.5:
-        return float(values[i, j])
-    g = np.array([gx, gy])
-    return float(math.exp(c0 + g @ step + 0.5 * step @ hess @ step))
-
-
-def visibility_from_field(
-    field: WignerField,
-    center_plus: tuple[float, float],
-    center_minus: tuple[float, float],
-) -> float:
-    """Fringe-contrast visibility of a two-lobe interference pattern.
-
-    Reads the fringe amplitude at the phase-space origin (which must
-    be a grid node) and the two lobe peaks near the supplied centers,
-    and returns ``fringe / (2 sqrt(lobe_plus * lobe_minus))`` — one
-    for an undamped balanced superposition, ``exp(-A(t))`` under bath
-    evolution.
-
-    Lobe peaks falling between grid nodes are recovered by a
-    log-quadratic fit on the 3x3 stencil around the grid maximum; the
-    lobes stay exactly Gaussian under the evolution map, so the fit
-    removes the grid bias rather than merely reducing it.
-    """
-    xs, ps = field.grid.xs(), field.grid.ps()
-    i0 = int(np.argmin(np.abs(xs)))
-    j0 = int(np.argmin(np.abs(ps)))
-    if abs(xs[i0]) > 1e-6 * field.grid.dx or abs(ps[j0]) > 1e-6 * field.grid.dp:
-        raise ValueError("origin is not a grid node; use an odd, origin-centered grid")
-    fringe = float(field.values[i0, j0])
-
-    half_x = abs(center_plus[0] - center_minus[0]) / 4 + 2 * field.grid.dx
-    half_p = abs(center_plus[1] - center_minus[1]) / 4 + 2 * field.grid.dp
-
-    def lobe_peak(cx: float, cp: float) -> float:
-        mi = np.flatnonzero((xs >= cx - half_x) & (xs <= cx + half_x))
-        mj = np.flatnonzero((ps >= cp - half_p) & (ps <= cp + half_p))
-        if mi.size == 0 or mj.size == 0:
-            raise ValueError(f"lobe box around ({cx}, {cp}) lies off the grid")
-        sub = field.values[np.ix_(mi, mj)]
-        k = np.unravel_index(int(np.argmax(sub)), sub.shape)
-        return _refine_peak(field.values, int(mi[k[0]]), int(mj[k[1]]))
-
-    lobe_plus = lobe_peak(*center_plus)
-    lobe_minus = lobe_peak(*center_minus)
-    if lobe_plus <= 0 or lobe_minus <= 0:
-        raise ValueError("lobe peaks must be positive to define a visibility")
-    return fringe / (2 * math.sqrt(lobe_plus * lobe_minus))

@@ -4,9 +4,6 @@ The even mixture of a position cat and a momentum cat develops a
 checkerboard of alternating-sign diamonds near the phase-space origin.
 This module measures that structure through an ``(x, p) -> W`` evaluator:
 
-* :func:`zero_condition_residual` — the bracket whose roots are the
-  zero set of the mixed-state Wigner function, with the envelope
-  divided out (numerically stable form).
 * :func:`find_zero_lattice` — a detector for the lattice of zero lines,
   scanning the axes ``x = 0`` and ``p = 0`` at a grid's nodes.  On the
   axes the two cosine terms conspire so that the Wigner function only
@@ -19,7 +16,6 @@ This module measures that structure through an ``(x, p) -> W`` evaluator:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,39 +32,6 @@ from subplanck.core import (
 
 class LatticeError(PhaseSpaceError):
     """No usable zero-line structure was found."""
-
-
-def zero_condition_residual(x, p, x0: float, p0: float, sigma: float,
-                            units: UnitSystem = UnitSystem()):
-    """Zero-set bracket of the mixed-cat Wigner function.
-
-    The mixed-state Wigner function factors as
-
-        W(x, p) = (2 pi hbar)^-1 exp(-x^2/(2 sigma^2) - 2 sigma^2 p^2/hbar^2) * B(x, p)
-
-    and this returns ``B``.  Zeros of ``W`` are exactly the roots of
-    ``B``; dividing out the envelope keeps the roots well-conditioned
-    far from the origin.  ``B(0, 0) = 2`` identically.
-
-    The two ``cosh`` hyperbolic terms are evaluated as paired
-    exponentials with the lobe offsets folded in, so the expression
-    stays finite wherever the Wigner function itself is representable.
-    """
-    hbar = units.hbar
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    n1sq = 1.0 / (2 * (1 + math.exp(-(x0**2) / (2 * sigma**2))))
-    n2sq = 1.0 / (2 * (1 + math.exp(-2 * p0**2 * sigma**2 / hbar**2)))
-    hyp1 = np.exp((x * x0 - x0**2 / 2) / sigma**2) + np.exp((-x * x0 - x0**2 / 2) / sigma**2)
-    hyp2 = np.exp(2 * sigma**2 * (2 * p * p0 - p0**2) / hbar**2) + np.exp(
-        2 * sigma**2 * (-2 * p * p0 - p0**2) / hbar**2
-    )
-    return (
-        n1sq * hyp1
-        + n2sq * hyp2
-        + 2 * n1sq * np.cos(2 * p * x0 / hbar)
-        + 2 * n2sq * np.cos(2 * p0 * x / hbar)
-    )
 
 
 @dataclass(frozen=True)

@@ -84,41 +84,23 @@ def overlap_closed(
     return total if total.ndim else float(total)
 
 
-def default_scan_grid(
-    x0: float, p0: float, sigma: float, units: UnitSystem = UnitSystem()
-) -> PhaseSpaceGrid:
-    """Quadrature grid for overlap integrals of cat-scale states.
-
-    The window covers the packet centers plus eight envelope widths;
-    the steps resolve the product of the fastest interference fringes
-    of the two factors with margin, which keeps the trapezoid rule in
-    its spectrally convergent regime.
-    """
-    hbar = units.hbar
-    x_half = x0 + 8 * sigma + 1.0
-    p_half = p0 + 4 * hbar / sigma + 1.0
-    dx = 2 * math.pi / (4 * p0 / hbar + 12 / sigma)
-    dp = 2 * math.pi * hbar / (4 * x0 + 24 * sigma)
-    nx = 2 * int(math.ceil(x_half / dx)) + 1
-    npts = 2 * int(math.ceil(p_half / dp)) + 1
-    return PhaseSpaceGrid(
-        x_min=-x_half, x_max=x_half, p_min=-p_half, p_max=p_half, nx=nx, np=npts
-    )
-
-
 class OverlapScan:
     """Quadrature oracle for the displacement overlap.
 
     Samples the closed-form Wigner function and its displaced copy on a
     grid and integrates their product, one displacement per call.  It
     checks :func:`overlap_closed`, which the searches and the CLI use.
+    No CLI path calls it; it is kept in this module, outside the
+    package's exports, only because the benchmark harness traces its
+    methods here.
 
     Parameters
     ----------
     state : CatSpec or MixedSpec
         State whose self-overlap under displacement is measured.
     grid : PhaseSpaceGrid
-        Quadrature grid (see :func:`default_scan_grid`).
+        Quadrature grid; it must resolve the product of the fastest
+        interference fringes of the two factors.
     units : UnitSystem
     rule : str
         ``"trapezoid"`` or ``"simpson"`` (odd sample counts required
@@ -343,46 +325,6 @@ def find_orthogonality(
         axis2_dip=s2,
         iterations=iters,
     )
-
-
-def fit_effective_coefficients(
-    state: CatSpec | MixedSpec,
-    x0: float,
-    p0: float,
-    sigma: float,
-    units: UnitSystem = UnitSystem(),
-) -> dict:
-    """Fit the measured unit overlap to its harmonic model.
-
-    With the Gaussian displacement damping divided out, the unit
-    overlap of the cat mixture should take the form
-
-        a * cos(2 delta1 x0/hbar) + b * cos(2 delta2 p0/hbar) + c
-
-    This samples one oscillation period per axis, on a 9 x 9 grid, with
-    :func:`overlap_closed` and least-squares fits ``(a, b, c)``; the
-    residual tells how well the model holds.
-    """
-    hbar = units.hbar
-    d1, d2 = np.meshgrid(
-        np.linspace(0.0, math.pi * hbar / x0, 9),
-        np.linspace(0.0, math.pi * hbar / p0, 9),
-        indexing="ij",
-    )
-    d1, d2 = d1.ravel(), d2.ravel()
-    values = overlap_closed(state, d1, d2, units)
-    # the first sample is the zero displacement
-    damp = np.exp(-(d1**2) * sigma**2 / hbar**2 - d2**2 / (4 * sigma**2))
-    rhs = values / values[0] / damp
-    rows = np.stack([np.cos(2 * d1 * x0 / hbar), np.cos(2 * d2 * p0 / hbar), np.ones_like(d1)], axis=1)
-    coef, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
-    rms = float(np.sqrt(np.mean((rows @ coef - rhs) ** 2)))
-    return {
-        "coef_cos_delta1": float(coef[0]),
-        "coef_cos_delta2": float(coef[1]),
-        "coef_const": float(coef[2]),
-        "rms_residual": rms,
-    }
 
 
 def compare_with_compass(

@@ -396,20 +396,6 @@ def kerr_evolve(alpha: complex, kappa_t: float, cutoff: int | None = None) -> Fo
     return FockVector(amplitudes=c / np.linalg.norm(c))
 
 
-def coherent_to_gaussian(
-    alpha: complex, sigma: float, units: UnitSystem = UnitSystem()
-) -> GaussianComponent:
-    """Phase-space packet for coherent amplitude ``alpha``.
-
-    Uses ``alpha = x0 / (2 sigma) + i sigma p0 / hbar``.
-    """
-    return GaussianComponent(
-        sigma=sigma,
-        x0=2 * sigma * alpha.real,
-        p0=units.hbar * alpha.imag / sigma,
-    )
-
-
 _PEAK_FRACTION = 0.2  # a Husimi maximum above this share of the highest is a component
 _FIDELITY_TOL = 1e-6  # reconstruction infidelity allowed before giving up
 
@@ -523,30 +509,3 @@ def state_to_json(spec: CatSpec | MixedSpec) -> dict:
             "branches": [[p, state_to_json(c)] for p, c in spec.branches],
         }
     raise TypeError(f"unsupported state type {type(spec).__name__}")
-
-
-def state_from_json(data: dict) -> CatSpec | MixedSpec:
-    """Inverse of :func:`state_to_json`; rejects unknown keys."""
-    if not isinstance(data, dict) or "kind" not in data:
-        raise ValueError("state document must be a dict with a 'kind' key")
-    kind = data["kind"]
-    if kind == "cat":
-        allowed = {"kind", "components", "coefficients", "norm"}
-        unknown = set(data) - allowed
-        if unknown:
-            raise ValueError(f"unknown keys in cat state: {sorted(unknown)}")
-        comps = tuple(
-            GaussianComponent(
-                sigma=c["sigma"], x0=c["x0"], p0=c["p0"], phase=c.get("phase", 0.0)
-            )
-            for c in data["components"]
-        )
-        coeffs = tuple(complex(re, im) for re, im in data["coefficients"])
-        return CatSpec(components=comps, coefficients=coeffs, norm=data["norm"])
-    if kind == "mixed":
-        unknown = set(data) - {"kind", "branches"}
-        if unknown:
-            raise ValueError(f"unknown keys in mixed state: {sorted(unknown)}")
-        branches = tuple((p, state_from_json(c)) for p, c in data["branches"])
-        return MixedSpec(branches=branches)
-    raise ValueError(f"unknown state kind {kind!r}")

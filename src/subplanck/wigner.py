@@ -1,23 +1,16 @@
 """Wigner functions: defining-integral oracle and closed forms.
 
-Conventions
------------
 Wigner transform (normalized to ``iint W dx dp = 1``):
 
     W(x, p) = (2 pi hbar)^-1  int <x - y/2| rho |x + y/2> exp(i p y / hbar) dy
-
-Characteristic function (Fourier pairing ``x <-> P``, ``p <-> Q``):
-
-    Wt(Q, P) = iint exp(-i (x P + p Q) / hbar) W(x, p) dx dp
-             = int psi(x - Q/2) psi*(x + Q/2) exp(-i x P / hbar) dx
-
-so ``Wt(0, 0) = 1`` for a normalized state.
 
 Two independent evaluation routes are provided for superpositions of
 Gaussian packets: :func:`wigner_transform` integrates the defining
 integral numerically (quadrature on the evaluated wave packets), while
 :func:`wigner_closed` sums the exact per-pair Gaussian integrals.
-Their agreement is a strong end-to-end check of both.
+Their agreement is a strong end-to-end check of both.  The
+characteristic function and the number-basis Wigner route, which only
+the tests use, live with the test oracles.
 """
 
 from __future__ import annotations
@@ -37,7 +30,6 @@ from subplanck.core import (
 )
 from subplanck.states import (
     CatSpec,
-    FockVector,
     GaussianComponent,
     MixedSpec,
     _branches,
@@ -47,7 +39,6 @@ from subplanck.states import (
 
 _TAIL_SIGMAS = 8.5  # Gaussian tails are below 3e-16 beyond this many widths
 _COVERAGE_SIGMAS = 6.1  # margin check_coverage demands around each packet
-_MAX_FOCK_CUTOFF = 128  # guard against accidentally huge number bases
 
 
 def _pair_integral_uniform(
@@ -243,83 +234,6 @@ def wigner_closed(
 ) -> WignerField:
     """Wigner function from the exact per-pair Gaussian integrals."""
     values = wigner_closed_eval(state, grid.xs()[:, None], grid.ps()[None, :], units)
-    return WignerField(grid=grid, values=values)
-
-
-def characteristic_of_cat(
-    state: CatSpec | MixedSpec,
-    Q,
-    P,
-    units: UnitSystem = UnitSystem(),
-) -> np.ndarray:
-    """Characteristic function ``Wt(Q, P)`` of a packet superposition.
-
-    Evaluates ``int psi(x - Q/2) psi*(x + Q/2) exp(-i x P / hbar) dx``
-    in closed form per component pair.  ``Q`` and ``P`` broadcast
-    against each other; the result is complex with ``Wt(0,0) = 1``.
-    """
-    hbar = units.hbar
-    Q = np.asarray(Q, dtype=float)
-    P = np.asarray(P, dtype=float)
-    out = np.zeros(np.broadcast(Q, P).shape, dtype=complex)
-    for prob, cat in _branches(state):
-        for c_j, cj in zip(cat.coefficients, cat.components):
-            for c_k, ck in zip(cat.coefficients, cat.components):
-                weight = prob * cat.norm**2 * c_j * c_k.conjugate()
-                out += weight * np.exp(_pair_exponent(ck, cj, Q, -P, hbar))
-    return np.exp(0.5j * Q * P / hbar) * out
-
-
-def wigner_of_fock(
-    state: FockVector,
-    grid: PhaseSpaceGrid,
-    sigma_ref: float,
-    units: UnitSystem = UnitSystem(),
-) -> WignerField:
-    """Wigner function of a number-basis state.
-
-    The wave function is synthesized on a chord grid by the oscillator
-    eigenfunction recursion (reference width ``sigma_ref``), then the
-    defining integral is evaluated the same way as for packet states.
-
-    Parameters
-    ----------
-    state : FockVector
-    grid : PhaseSpaceGrid
-    sigma_ref : float
-        Ground-state position width of the oscillator basis.
-    units : UnitSystem
-    """
-    if state.cutoff > _MAX_FOCK_CUTOFF:
-        raise ValueError(f"cutoff {state.cutoff} exceeds limit {_MAX_FOCK_CUTOFF}")
-    if sigma_ref <= 0:
-        raise ValueError(f"sigma_ref must be positive, got {sigma_ref}")
-    hbar = units.hbar
-    nmax = state.cutoff
-    scale = math.sqrt(2 * nmax + 1) + 11.0
-    x_r = sigma_ref * math.sqrt(2) * scale
-    p_r = hbar * scale / (sigma_ref * math.sqrt(2))
-
-    xs, ps = grid.xs(), grid.ps()
-    p_absmax = float(np.max(np.abs(ps)))
-    h = 2 * math.pi * hbar / (p_absmax + p_r)
-    ny = max(int(math.ceil(4 * x_r / h)) + 1, 16)
-    ys = np.linspace(-2 * x_r, 2 * x_r, ny)
-
-    def psi_on(u: np.ndarray) -> np.ndarray:
-        xi = u / (sigma_ref * math.sqrt(2))
-        prev = np.zeros_like(u)
-        cur = (2 * math.pi * sigma_ref**2) ** -0.25 * np.exp(-(xi**2) / 2)
-        out = state.amplitudes[0] * cur
-        for n in range(nmax):
-            prev, cur = cur, xi * math.sqrt(2 / (n + 1)) * cur - math.sqrt(n / (n + 1)) * prev
-            out = out + state.amplitudes[n + 1] * cur
-        return out
-
-    kern = psi_on(xs[:, None] - ys[None, :] / 2) * np.conj(psi_on(xs[:, None] + ys[None, :] / 2))
-    w = _uniform_weights("trapezoid", ny, ys[1] - ys[0])
-    tone = w[:, None] * np.exp(1j * np.outer(ys, ps) / hbar)
-    values = (kern @ tone).real / (2 * math.pi * hbar)
     return WignerField(grid=grid, values=values)
 
 

@@ -38,7 +38,7 @@ import pytest
 from scipy.optimize import brentq
 
 from conftest import ACCEPTANCE_LINES, route_gap
-from oracles import overlap_map
+from oracles import default_scan_grid, evolved_wigner, overlap_map, visibility_from_field
 
 from subplanck.cli import main as cli_main
 from subplanck.core import UnitSystem, WignerField, integrate_2d, linspace_grid
@@ -47,18 +47,12 @@ from subplanck.decoherence import (
     attenuation_exponent,
     attenuation_numeric,
     decoherence_time,
-    evolved_wigner,
     propagation_matrix,
     tau_formula_momentum,
     tau_formula_position,
-    visibility_from_field,
 )
 from subplanck.interference import find_zero_lattice, tile_area
-from subplanck.metrology import (
-    default_scan_grid,
-    find_orthogonality,
-    overlap_closed,
-)
+from subplanck.metrology import find_orthogonality, overlap_closed
 from subplanck.states import (
     coherent_amplitudes,
     kerr_component_count,

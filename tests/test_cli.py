@@ -518,20 +518,45 @@ class TestBoundaryProperties:
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(option=_FLOAT_FLAGS, value=_MAGNITUDES)
     def test_extreme_magnitude_keeps_exit_contract(self, tmp_path_factory, option, value):
-        # An overflow or a division by zero at an extreme magnitude is a
-        # numeric failure (exit 3), never a traceback.  numpy's
-        # RuntimeWarnings are recorded, not raised: the command line
-        # prints them and goes on.
+        # An overflow, a division by zero or an invalid operation at an
+        # extreme magnitude is a numeric failure (exit 3), never a
+        # traceback.  RuntimeWarnings are recorded here rather than raised,
+        # as the command line would print them and go on; a run that exits
+        # 0 must have printed none.
         command, flag = option
         small, _ = _SMALL_RUNS[command]
         out = tmp_path_factory.mktemp("extreme")
-        with warnings.catch_warnings(record=True):
+        with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", RuntimeWarning)
             rc, stderr = run_captured(out, command, *small, f"--{flag}={value!r}")
         assert rc in (0, 2, 3, 4)
         assert "Traceback" not in stderr
         if rc:
             assert json.loads(stderr.strip().splitlines()[-1])["error"]["code"] == rc
+        else:
+            assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("compare", "--x0", "1e160", "--n-scan", "21"),
+            ("sensitivity", "--hbar", "1e-300"),
+            ("tiles", "--sigma", "1e-200"),
+            ("decohere", "--mass", "1e100"),
+        ],
+        ids=["compare-x0-overflow", "sensitivity-hbar-overflow", "tiles-sigma-invalid",
+             "decohere-mass-divide"],
+    )
+    def test_floating_point_error_exits_3(self, tmp_path, argv):
+        # Each of these once went on past a non-finite intermediate, to
+        # exit 0 with wrong values or exit 2 with a NaN message that names
+        # no flag.
+        rc, stderr = run_captured(tmp_path, *argv)
+        assert rc == 3
+        assert "Traceback" not in stderr
+        error = json.loads(stderr.strip().splitlines()[-1])["error"]
+        assert error["code"] == 3 and error["kind"] == "FloatingPointError"
+        assert not (tmp_path / f"{argv[0]}.json").exists()
 
     def test_int_config_for_float_option_is_converted(self, tmp_path):
         cfg = tmp_path / "cfg.json"

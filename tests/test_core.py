@@ -1,9 +1,11 @@
 """Grids, fields, quadrature plumbing, and deterministic output."""
 
+import ast
 import json
 import math
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -299,3 +301,26 @@ def test_all_lists_exactly_the_package_bindings():
     assert set(subplanck.__all__) == bound
     for name in subplanck.__all__:
         assert getattr(subplanck, name).__name__ == name
+
+
+def test_every_export_has_a_production_caller():
+    # A name only the tests call is an oracle and belongs in
+    # tests/oracles.py.  A use is a Name or Attribute node in a top-level
+    # statement other than the name's own definition; imports, docstrings
+    # and __init__.py do not count.
+    used = set()
+    for path in Path(subplanck.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                own = {node.name}
+            else:
+                targets = getattr(node, "targets", [getattr(node, "target", None)])
+                own = {t.id for t in targets if isinstance(t, ast.Name)}
+            names = {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
+            names |= {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+            used |= names - own
+    assert sorted(set(subplanck.__all__) - used) == []

@@ -5,25 +5,27 @@ import math
 import numpy as np
 import pytest
 from conftest import P0, SIGMA, X0
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import (
+    a_coefficients,
+    evolve_characteristic,
+    evolved_wigner,
+    visibility_from_field,
+)
 
 from subplanck.core import UnitSystem, integrate_2d, linspace_grid
 from subplanck.decoherence import (
     BathParams,
-    a_coefficients,
     attenuation_curve,
     attenuation_exponent,
     attenuation_numeric,
     decoherence_time,
-    evolve_characteristic,
-    evolved_wigner,
     bath_moments,
     green_function,
     propagation_matrix,
     tau_formula_momentum,
     tau_formula_position,
-    visibility_from_field,
 )
 from subplanck.metrology import SearchError
 from subplanck.wigner import wigner_closed_eval
@@ -308,6 +310,29 @@ class TestDecoherenceTime:
             decoherence_time(bath, offset, sigma, units, kind)
         with pytest.raises(ValueError, match="sigma|offset"):
             attenuation_exponent(bath, 0.1, offset, sigma, units, kind)
+
+
+@SEEDED
+@given(
+    log_tau=st.floats(-9.0, 6.0),
+    kind=st.sampled_from(["position", "momentum"]),
+    threshold=st.sampled_from([0.5, 1.0, 2.0]),
+)
+@example(log_tau=-9.0, kind="position", threshold=1.0)
+@example(log_tau=6.0, kind="momentum", threshold=2.0)
+def test_crossing_scales_with_the_time_unit(log_tau, kind, threshold):
+    # t -> tau t with m -> tau m, gamma -> gamma / tau and T -> T / tau is a
+    # change of time unit: the crossing must scale by tau, and stay a root.
+    tau = 10.0**log_tau
+    units = UnitSystem()
+    offset = X0 if kind == "position" else P0
+    bath = BathParams(mass=1.0, gamma=0.1, temperature=KT)
+    rescaled = BathParams(mass=tau, gamma=0.1 / tau, temperature=KT / tau)
+    t_ref = decoherence_time(bath, offset, SIGMA, units, kind, threshold)
+    t_star = decoherence_time(rescaled, offset, SIGMA, units, kind, threshold)
+    assert abs(t_star / tau - t_ref) <= 1e-12 * t_ref
+    a = attenuation_exponent(rescaled, t_star, offset, SIGMA, units, kind)
+    assert abs(a - threshold) <= 1e-12 * threshold
 
 
 class TestEvolutionMap:

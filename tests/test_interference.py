@@ -23,7 +23,6 @@ from subplanck.interference import (
     find_zero_lattice,
     lattice_report,
     tile_area,
-    zero_condition_residual,
 )
 from subplanck.states import (
     CatSpec,
@@ -55,27 +54,23 @@ def units_module():
 
 
 class TestResidual:
-    def test_origin_value(self):
-        assert zero_condition_residual(0.0, 0.0, X0, P0, SIGMA) == pytest.approx(
-            2.0, rel=1e-15
-        )
+    """The mixture's Wigner function factors as envelope * B / (2 pi hbar);
+    the zeros of W are the roots of the bracket B."""
 
-    def test_factorization_identity(self):
-        # W = envelope * B / (2 pi hbar) wherever the envelope is finite.
-        rng = np.random.default_rng(3)
-        x = rng.uniform(-2.0, 2.0, 50)
-        p = rng.uniform(-4.0, 4.0, 50)
+    @staticmethod
+    def residual(mixed, x, p):
         envelope = np.exp(-(x**2) / (2 * SIGMA**2) - 2 * SIGMA**2 * p**2 / HBAR**2)
-        lhs = wrho_closed(x, p, X0, P0, SIGMA)
-        rhs = envelope * zero_condition_residual(x, p, X0, P0, SIGMA) / (2 * math.pi * HBAR)
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-300)
+        return 2 * math.pi * HBAR * wigner_closed_eval(mixed, x, p) / envelope
 
-    def test_on_axis_nonnegative(self):
-        # The two cosines conspire on the axes: zeros are tangential.
+    def test_origin_value(self, mixed):
+        assert self.residual(mixed, 0.0, 0.0) == pytest.approx(2.0, rel=1e-15)
+
+    def test_on_axis_nonnegative(self, mixed):
+        # The two cosines of B conspire on the axes: zeros are tangential.
         x = np.linspace(-1.5, 1.5, 4001)
-        assert zero_condition_residual(x, 0.0, X0, P0, SIGMA).min() > -1e-12
+        assert self.residual(mixed, x, 0.0).min() > -1e-12
         p = np.linspace(-3.0, 3.0, 4001)
-        assert zero_condition_residual(0.0, p, X0, P0, SIGMA).min() > -1e-12
+        assert self.residual(mixed, 0.0, p).min() > -1e-12
 
 
 # Samples drawn from a few levels so that exact zeros, -0.0, runs,

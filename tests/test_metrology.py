@@ -7,7 +7,7 @@ import pytest
 from conftest import P0, SIGMA, X0
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import first_dip_loop, overlap_map
+from oracles import default_scan_grid, first_dip_loop, overlap_map
 
 from subplanck.core import UnitSystem
 from subplanck.metrology import (
@@ -15,9 +15,7 @@ from subplanck.metrology import (
     SearchError,
     _first_dip,
     compare_with_compass,
-    default_scan_grid,
     find_orthogonality,
-    fit_effective_coefficients,
     overlap_closed,
     overlap_reference,
 )
@@ -347,12 +345,19 @@ class TestOrthogonalitySearch:
 
 
 class TestEffectiveModel:
-    def test_fitted_coefficients(self, mixed, units):
-        fit = fit_effective_coefficients(mixed, X0, P0, SIGMA, units)
-        assert fit["coef_cos_delta1"] == pytest.approx(0.25, abs=1e-8)
-        assert fit["coef_cos_delta2"] == pytest.approx(0.25, abs=1e-8)
-        assert fit["coef_const"] == pytest.approx(0.5, abs=1e-8)
-        assert fit["rms_residual"] < 1e-8
+    def test_harmonic_model_coefficients(self, mixed, units):
+        # With the Gaussian damping divided out, the unit overlap of the
+        # mixture is cos(2 d1 x0/hbar)/4 + cos(2 d2 p0/hbar)/4 + 1/2, here
+        # over one oscillation period per axis.
+        d1, d2 = np.meshgrid(
+            np.linspace(0.0, math.pi * HBAR / X0, 9),
+            np.linspace(0.0, math.pi * HBAR / P0, 9),
+            indexing="ij",
+        )
+        unit = overlap_closed(mixed, d1, d2, units) / overlap_closed(mixed, 0.0, 0.0, units)
+        damp = np.exp(-(d1**2) * SIGMA**2 / HBAR**2 - d2**2 / (4 * SIGMA**2))
+        model = 0.25 * np.cos(2 * d1 * X0 / HBAR) + 0.25 * np.cos(2 * d2 * P0 / HBAR) + 0.5
+        assert np.max(np.abs(unit - damp * model)) < 1e-8
 
 
 class TestCompassComparison:

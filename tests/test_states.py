@@ -13,19 +13,18 @@ from subplanck import (
     MixedSpec,
     NoDecompositionError,
     TruncationError,
-    coherent_to_gaussian,
     kerr_component_count,
     kerr_evolve,
     make_cat_position,
     make_compass,
     make_mixed,
     psi_eval,
-    state_from_json,
     state_to_json,
 )
 from subplanck.states import coherent_amplitudes, component_overlap, default_cutoff
 
 from conftest import P0, SIGMA, X0
+from oracles import state_from_json
 
 
 def wavefunction_norm(spec, units, x_half=40.0, n=16001):
@@ -143,11 +142,6 @@ class TestFock:
     def test_default_cutoff_scaling(self):
         assert default_cutoff(2.0) == 28
         assert default_cutoff(0.0) == 10
-
-    def test_coherent_to_gaussian_centers(self, units):
-        comp = coherent_to_gaussian(1.0 + 2.0j, 0.5, units)
-        assert comp.x0 == pytest.approx(2 * 0.5 * 1.0)
-        assert comp.p0 == pytest.approx(2.0 / 0.5)
 
 
 class TestKerr:

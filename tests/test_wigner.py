@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from oracles import (
     char_cat_momentum,
     char_cat_position,
+    characteristic_of_cat,
     pair_integral_hermite_direct,
     wc1_closed,
     wc2_closed,
+    wigner_of_fock,
     wrho_closed,
 )
 from scipy.special import roots_hermite
@@ -33,11 +35,9 @@ from subplanck.states import (
 from subplanck.wigner import (
     CoverageError,
     _pair_integral_hermite,
-    characteristic_of_cat,
     check_coverage,
     wigner_closed,
     wigner_closed_eval,
-    wigner_of_fock,
     wigner_transform,
 )
 
