@@ -143,7 +143,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     w.add_argument("--np", type=int, default=201, dest="np_")
     w.add_argument("--method", choices=("closed", "integral"), default="closed")
     w.add_argument("--rule", choices=("trapezoid", "simpson", "gauss-hermite"), default="trapezoid")
-    w.add_argument("--order", type=int, default=64, help="Gauss-Hermite order")
+    w.add_argument("--order", type=int, default=64, help="Gauss-Hermite order, 16 to 1024")
     registry["wigner"] = w
 
     t = sub.add_parser("tiles", parents=[common], help="measure interference tiles")
@@ -322,18 +322,19 @@ def _params_echo(args, keys: list[str]) -> dict:
 
 
 def _cmd_wigner(args, units: UnitSystem) -> None:
+    quadrature = Quadrature(rule=args.rule, order=args.order)  # --order is echoed for every method
     state = _build_state(args.state, args.x0, args.p0, args.sigma, units)
     x_half = args.x_half if args.x_half is not None else args.x0 + 8 * args.sigma
     p_half = args.p_half if args.p_half is not None else args.p0 + 4 * units.hbar / args.sigma
     grid = linspace_grid(x_half, p_half, args.nx, args.np_)
     if args.method == "integral":
         check_coverage(state, grid, units)
-        field = wigner_transform(state, grid, units, Quadrature(rule=args.rule, order=args.order))
+        field = wigner_transform(state, grid, units, quadrature)
     else:
         field = wigner_closed(state, grid, units)
     payload = {
         "params": _params_echo(
-            args, ["state", "x0", "p0", "sigma", "nx", "np_", "method", "rule"]
+            args, ["state", "x0", "p0", "sigma", "nx", "np_", "method", "rule", "order"]
         ),
         "state": state_to_json(state),
         "summary": field_summary(field),

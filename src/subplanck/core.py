@@ -167,7 +167,8 @@ class Quadrature:
         integrand's bandwidth; the last uses Hermite nodes and is only
         advisable for slowly oscillating integrands.
     order : int
-        Node count for ``gauss-hermite``; ignored by the uniform rules.
+        Node count for ``gauss-hermite``, 16 to 1024 (a dense eigenproblem
+        of this order gives the nodes); ignored by the uniform rules.
     """
 
     rule: str = "trapezoid"
@@ -176,8 +177,8 @@ class Quadrature:
     def __post_init__(self) -> None:
         if self.rule not in _QUAD_RULES:
             raise ValueError(f"unknown quadrature rule {self.rule!r}; expected one of {_QUAD_RULES}")
-        if self.order < 16:
-            raise ValueError(f"quadrature order must be >= 16, got {self.order}")
+        if not 16 <= self.order <= 1024:
+            raise ValueError(f"quadrature order must lie in [16, 1024], got {self.order}")
 
 
 def _uniform_weights(rule: str, n: int, step: float) -> np.ndarray:

@@ -61,9 +61,9 @@ def overlap_closed(
         O = (2 pi hbar)^-1 sum_{b,b'} p_b p_b' |<psi_b| D |psi_b'>|^2,
 
     where ``D`` shifts position by ``delta2`` and momentum by ``delta1``.
-    All packet-pair overlaps come from one call of the pair kernel behind
-    :func:`~subplanck.states.component_overlap`, so the cost is O(K^2)
-    per displacement for K packets and nothing is sampled.  The global
+    All packet-pair overlaps come from one call of the pair kernel
+    :func:`~subplanck.states._pair_exponent`, so the cost is O(K^2) per
+    displacement for K packets and nothing is sampled.  The global
     phase of ``D`` cancels in ``|.|^2``, and ``O(delta) = O(-delta)``.
 
     ``delta1`` and ``delta2`` broadcast against each other; the result
@@ -224,7 +224,6 @@ def find_orthogonality(
     overlap_fn,
     bracket1: float,
     bracket2: float,
-    mode: str = "joint",
     tol: float = 0.02,
     n_scan: int = 601,
 ) -> SensitivityResult:
@@ -251,8 +250,6 @@ def find_orthogonality(
         Upper bounds of the axis scans; must contain the first axis
         minima (1.5 pi hbar / separation is a safe choice for
         cat-like states).
-    mode : str
-        ``"joint"`` (default), ``"axis1"``, or ``"axis2"``.
     tol : float
         Unit-overlap threshold under which orthogonality counts as
         achieved.
@@ -265,8 +262,6 @@ def find_orthogonality(
         If an axis scan shows no interior minimum (e.g. for a plain
         Gaussian state whose overlap decays monotonically).
     """
-    if mode not in ("joint", "axis1", "axis2"):
-        raise ValueError(f"unknown mode {mode!r}")
     if not math.isfinite(tol):
         raise ValueError(f"tol must be finite, got {tol}")
     o00 = overlap_fn(0.0, 0.0)
@@ -282,19 +277,7 @@ def find_orthogonality(
             f"no interior overlap minimum along {axis} within its bracket; "
             "the state shows no interference-scale displacement response"
         )
-    s1, f1 = dip1
-    s2, f2 = dip2
-
-    if mode == "axis1":
-        return SensitivityResult(
-            delta1_star=s1, delta2_star=0.0, product=0.0, min_overlap=f1,
-            achieved=f1 <= tol, axis1_dip=s1, axis2_dip=s2, iterations=0,
-        )
-    if mode == "axis2":
-        return SensitivityResult(
-            delta1_star=0.0, delta2_star=s2, product=0.0, min_overlap=f2,
-            achieved=f2 <= tol, axis1_dip=s1, axis2_dip=s2, iterations=0,
-        )
+    s1, s2 = dip1[0], dip2[0]
 
     ray = _first_dip(lambda t: f(t * s1, t * s2), 2.5, n_scan)
     if ray is None:

@@ -16,6 +16,7 @@ the tests use, live with the test oracles.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -108,6 +109,19 @@ def _pair_quadratic(
     return a_y, mu, d
 
 
+@functools.lru_cache
+def _hermite_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights for ``exp(-t^2)`` by Golub and Welsch,
+    Math. Comp. 23, 221 (1969), from ``eigh`` of the Jacobi matrix (numpy's
+    ``hermgauss`` has NaN weights at order 384); cached, as ``eigh`` takes
+    tens of milliseconds at cat-scale orders."""
+    off = np.sqrt(np.arange(1, order) / 2)
+    t, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    w = math.sqrt(math.pi) * v[0] ** 2
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
 def _pair_integral_hermite(
     cj: GaussianComponent,
     ck: GaussianComponent,
@@ -118,8 +132,7 @@ def _pair_integral_hermite(
 ) -> np.ndarray:
     """Gauss-Hermite evaluation of the same pair integral.
 
-    ``nodes`` are the Hermite nodes and weights ``(t, w)``, the same for
-    every pair, so the caller computes them once per field.
+    ``nodes`` are the Hermite nodes and weights ``(t, w)``.
 
     The Gaussian factor is absorbed into the Hermite weight
     analytically (evaluating it and dividing back out would overflow),
@@ -197,10 +210,7 @@ def wigner_transform(
     """
     xs, ps = grid.xs(), grid.ps()
     if quadrature.rule == "gauss-hermite":
-        # numpy's hermgauss returns NaN weights at orders 384 and 400
-        from scipy.special import roots_hermite
-
-        nodes = roots_hermite(quadrature.order)
+        nodes = _hermite_nodes(quadrature.order)
         pair_fn = lambda cj, ck: _pair_integral_hermite(cj, ck, xs, ps, units.hbar, nodes)
     else:
         pair_fn = lambda cj, ck: _pair_integral_uniform(cj, ck, xs, ps, units, quadrature.rule)

@@ -54,6 +54,7 @@ class TestWigner:
         assert params["state"] == "mixed"
         assert params["np"] == 241 and params["nx"] == 241
         assert params["method"] == "closed"
+        assert params["order"] == 64
         summary = payload["summary"]
         assert summary["nx"] == 241 and summary["np"] == 241
         assert summary["x_max"] == pytest.approx(X0 + 8 * SIGMA)
@@ -83,6 +84,27 @@ class TestWigner:
         assert payload["params"]["method"] == "integral"
         assert payload["params"]["rule"] == "simpson"
         assert payload["summary"]["integral"] == pytest.approx(1.0, abs=1e-5)
+
+    def test_gauss_hermite_order_is_echoed(self, tmp_path):
+        # two runs at different orders must not write identical params
+        argv = ["wigner", "--state", "cat-position", "--x0", "1.2", "--sigma", "0.7",
+                "--method", "integral", "--rule", "gauss-hermite", "--nx", "21", "--np", "21"]
+        for order in ("32", "96"):
+            assert run_cli(tmp_path / order, *argv, "--order", order) == 0
+        params = [read_json(tmp_path / order, "wigner")["params"] for order in ("32", "96")]
+        assert [p.pop("order") for p in params] == [32, 96]
+        assert params[0] == params[1]
+
+    @pytest.mark.parametrize("method", ["integral", "closed"])
+    @pytest.mark.parametrize("order", ["1025", "1000000000000", "8"])
+    def test_out_of_range_order_exits_2(self, tmp_path, order, method):
+        # a dense eigenproblem of order 1e12 would need 8e24 bytes; the
+        # cap is checked before the nodes are computed, and for the
+        # closed form too, whose params echo the order
+        argv = ["wigner", "--method", method, "--rule", "gauss-hermite", "--order", order]
+        rc, stderr = run_captured(tmp_path, *argv)
+        error = assert_usage_error(rc, stderr, tmp_path, "wigner")
+        assert error["kind"] == "ValueError" and f"order must lie in [16, 1024], got {order}" in error["message"]
 
     def test_format_json_skips_csv(self, tmp_path):
         rc = run_cli(
@@ -623,11 +645,9 @@ class TestBoundaryProperties:
 
 
 def test_import_skips_unused_scipy_modules(tmp_path):
-    # Importing scipy took about 80% of every CLI start, for a few scalar
-    # Brent calls (now core.brent_root and core.brent_min) and test-only
-    # oracles.  The CLI imports no scipy module, and neither do the
-    # commands that test the paper's claims: only kerr and the
-    # Gauss-Hermite quadrature route load scipy, on first use.
+    # numpy is the only runtime dependency: no subcommand loads a scipy
+    # module, including kerr and both quadrature families of the
+    # integral route.  scipy serves the tests as an oracle.
     src = os.path.dirname(os.path.dirname(subplanck.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     runs = [
@@ -635,7 +655,10 @@ def test_import_skips_unused_scipy_modules(tmp_path):
         ["sensitivity", "--n-scan", "11"],
         ["tiles"],
         ["decohere"],
+        ["kerr"],
         ["wigner", "--nx", "41", "--np", "41"],
+        ["wigner", "--method", "integral", "--nx", "41", "--np", "41"],
+        ["wigner", "--method", "integral", "--rule", "gauss-hermite", "--nx", "41", "--np", "41"],
     ]
     probe = f"""
 import json, sys

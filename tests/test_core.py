@@ -101,6 +101,14 @@ class TestQuadrature:
             Quadrature(order=8)
         assert Quadrature(rule="gauss-hermite", order=32).order == 32
 
+    def test_order_cap(self):
+        # The cap is checked when the configuration is built; nothing
+        # sized by the order is allocated until the nodes are computed.
+        assert Quadrature(rule="gauss-hermite", order=1024).order == 1024
+        for order in (1025, 10**12):
+            with pytest.raises(ValueError, match=f"order must lie in \\[16, 1024\\], got {order}"):
+                Quadrature(rule="gauss-hermite", order=order)
+
     def test_trapezoid_normalizes_gaussian(self):
         f = gaussian_field(linspace_grid(8.0, 8.0, 161, 161))
         assert integrate_2d(f) == pytest.approx(1.0, abs=1e-12)
@@ -324,3 +332,19 @@ def test_every_export_has_a_production_caller():
             names |= {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
             used |= names - own
     assert sorted(set(subplanck.__all__) - used) == []
+
+
+def test_no_module_imports_scipy():
+    # numpy is the package's only runtime dependency; scipy serves the
+    # tests as an oracle.  Every import statement counts, at any depth.
+    found = []
+    for path in sorted(Path(subplanck.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}: {n}" for n in names if n.split(".")[0] == "scipy"]
+    assert found == []

@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import pdtrc
 
 from subplanck import (
     CatSpec,
@@ -21,10 +24,10 @@ from subplanck import (
     psi_eval,
     state_to_json,
 )
-from subplanck.states import coherent_amplitudes, component_overlap, default_cutoff
+from subplanck.states import _KERR_TAIL_TOL, _poisson_tail, coherent_amplitudes, default_cutoff
 
 from conftest import P0, SIGMA, X0
-from oracles import state_from_json
+from oracles import component_overlap, kerr_polish_nelder_mead, state_from_json
 
 
 def wavefunction_norm(spec, units, x_half=40.0, n=16001):
@@ -144,6 +147,36 @@ class TestFock:
         assert default_cutoff(0.0) == 10
 
 
+# Over 5,000 seeded draws the log-space sum stays within 1.8e-12 of
+# pdtrc, relative; its terms n log(lam) - lam - lgamma(n + 1) cancel
+# digits of values up to ~1e4 at |alpha| ~ 38.
+TAIL_RTOL = 1e-11
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    r=st.floats(0.01, 38.0),
+    offset=st.integers(-15, 15),
+    below=st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_poisson_tail_matches_pdtrc(r, offset, below):
+    """The Kerr truncation tail against scipy's ``pdtrc``: at cutoffs
+    within 15 of the default, where it meets the 1e-10 gate, and below
+    ``|alpha|^2``, where the tail is close to 1 and a forward recurrence
+    from ``cutoff + 1`` underflows to 0 at large ``|alpha|``."""
+    lam = r * r
+    for cutoff in (max(default_cutoff(r) + offset, 0), math.floor(below * lam)):
+        got, want = _poisson_tail(cutoff, lam), float(pdtrc(cutoff, lam))
+        assert got == pytest.approx(want, rel=TAIL_RTOL, abs=1e-300)
+        assert (got > _KERR_TAIL_TOL) == (want > _KERR_TAIL_TOL)
+
+
+def test_poisson_tail_below_mean_at_large_amplitude():
+    # exp(-|alpha|^2) underflows to 0 at |alpha|^2 = 1400
+    assert _poisson_tail(0, 1400.0) == pytest.approx(1.0, rel=1e-12)
+    assert _poisson_tail(1400, 1400.0) == pytest.approx(float(pdtrc(1400, 1400.0)), rel=TAIL_RTOL)
+
+
 class TestKerr:
     def test_zero_time_is_coherent(self):
         state = kerr_evolve(2.0, 0.0)
@@ -196,6 +229,21 @@ class TestKerr:
         # H = (hbar kappa / 2) n^2, so kappa t = pi / m splits the state into 2m components.
         state = kerr_evolve(3.0, kt)
         assert kerr_component_count(state, 3.0) == count
+
+    @pytest.mark.parametrize("kt", [math.pi, math.pi / 2, math.pi / 3, math.pi / 4])
+    @pytest.mark.parametrize("alpha", [2.85, 3.0, 3.15])
+    def test_component_count_matches_nelder_mead(self, alpha, kt):
+        # The coordinate-descent polish reaches the same count as a
+        # joint Nelder-Mead simplex started from the same seeds.
+        state = kerr_evolve(alpha, kt)
+        count, infidelity = kerr_polish_nelder_mead(state, alpha)
+        assert infidelity <= 1e-6
+        assert kerr_component_count(state, alpha) == count == round(2 * math.pi / kt)
+
+    def test_coarse_scan_keeps_each_angle_in_its_sector(self):
+        # At 16 samples, 20 samples either side would span the circle;
+        # each angle's polish bracket stays within half the mean spacing.
+        assert kerr_component_count(kerr_evolve(3.0, math.pi / 3), 3.0, samples=16) == 6
 
     def test_component_count_small_radius(self):
         state = kerr_evolve(0.0, 1.0)
