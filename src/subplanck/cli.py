@@ -102,6 +102,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 _STATE_CHOICES = ("cat-position", "cat-momentum", "mixed", "compass")
+_MAX_FIELD_POINTS = 2**24  # wigner samples: 134 MB per float array
 
 
 def _build_state(name: str, x0: float, p0: float, sigma: float, units: UnitSystem):
@@ -327,6 +328,8 @@ def _cmd_wigner(args, units: UnitSystem) -> None:
     x_half = args.x_half if args.x_half is not None else args.x0 + 8 * args.sigma
     p_half = args.p_half if args.p_half is not None else args.p0 + 4 * units.hbar / args.sigma
     grid = linspace_grid(x_half, p_half, args.nx, args.np_)
+    if args.nx * args.np_ > _MAX_FIELD_POINTS:
+        raise ConfigError(f"--nx * --np must not exceed {_MAX_FIELD_POINTS}, got {args.nx * args.np_}")
     if args.method == "integral":
         check_coverage(state, grid, units)
         field = wigner_transform(state, grid, units, quadrature)

@@ -58,6 +58,9 @@ class UnitSystem:
             raise ValueError(f"kB must be positive and finite, got {self.kB}")
 
 
+_MAX_NODES = 2**16  # per grid axis, checked before any sample array is allocated
+
+
 @dataclass(frozen=True)
 class PhaseSpaceGrid:
     """Uniform rectangular grid on phase space.
@@ -69,7 +72,7 @@ class PhaseSpaceGrid:
     p_min, p_max : float
         Momentum window, ``p_min < p_max``.
     nx, np : int
-        Number of samples along each axis (at least 2).
+        Number of samples along each axis, 2 to 65536.
     """
 
     x_min: float
@@ -88,8 +91,8 @@ class PhaseSpaceGrid:
             raise ValueError(f"need x_min < x_max, got [{self.x_min}, {self.x_max}]")
         if not self.p_min < self.p_max:
             raise ValueError(f"need p_min < p_max, got [{self.p_min}, {self.p_max}]")
-        if self.nx < 2 or self.np < 2:
-            raise ValueError(f"need at least 2 points per axis, got nx={self.nx}, np={self.np}")
+        if not (2 <= self.nx <= _MAX_NODES and 2 <= self.np <= _MAX_NODES):
+            raise ValueError(f"nx, np must lie in [2, {_MAX_NODES}], got nx={self.nx}, np={self.np}")
 
     @property
     def dx(self) -> float:

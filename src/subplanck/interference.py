@@ -119,12 +119,12 @@ def _touches(coords: np.ndarray, vals: np.ndarray, threshold: float) -> list[flo
 
 def _axis_touches(coords, vals, threshold: float, fn, step: float):
     """Touches of an axis scan: whether there are any, and the first
-    positive one refined by bounded Brent within one grid ``step``.
+    positive one refined by bounded Brent within one grid ``step``, to 1e-10 of it.
     ``fn(along, across)`` is the field; the axis sits at ``across = 0``."""
     touches = _touches(coords, vals, threshold)
     first = min((t for t in touches if t > 0), default=None)
     if first is not None:
-        first, _ = brent_min(lambda t: fn(t, 0.0), first - step, first + step, xatol=1e-12)
+        first, _ = brent_min(lambda t: fn(t, 0.0), first - step, first + step, xatol=1e-10 * step)
     return bool(touches), first
 
 
@@ -135,12 +135,12 @@ def _family(coords, axis_vals, touched: bool, other_touch: float | None,
     has a positive touch, the lines are the sign changes of the scan at
     half that touch, where they cross transversally; otherwise they are
     the sign changes of ``axis_vals`` (the field at ``coords`` on the
-    axis).  Each bracket is refined by Brent's method."""
+    axis).  Each bracket is refined by Brent's method to 1e-10 of its width."""
     at = 0.0
     if touched and other_touch is not None:
         at = other_touch / 2
         axis_vals = np.asarray(fn(coords, at), dtype=float)
-    lines = sorted(brent_root(lambda t: fn(t, at), a, b, xtol=1e-12, maxiter=200)
+    lines = sorted(brent_root(lambda t: fn(t, at), a, b, xtol=1e-10 * (b - a), maxiter=200)
                    for a, b in _crossings(coords, axis_vals))
     return np.asarray(lines, dtype=float), at
 

@@ -118,7 +118,7 @@ class OverlapScan:
         self.grid = grid
         self.units = units
         self.rule = rule
-        self._xm, self._pm = grid.meshgrid()
+        self._xm, self._pm = grid.xs()[:, None], grid.ps()[None, :]  # factors once per node
         self._w0 = wigner_closed_eval(state, self._xm, self._pm, units)
         self.o00 = self.value(0.0, 0.0)
 

@@ -11,12 +11,23 @@ integral numerically (quadrature on the evaluated wave packets), while
 Their agreement is a strong end-to-end check of both.  The
 characteristic function and the number-basis Wigner route, which only
 the tests use, live with the test oracles.
+
+The exact term of the packet pair ``(j, k)``, the overlap
+``2 <phi_k| D(2x, 2p) |phi_j(-.)>`` times Royer's parity phase
+``exp(-2ixp/hbar)`` (Phys. Rev. A 15, 449 (1977)), is separable about the
+pair's centre ``(xc, pc)``.  With ``u = x - xc``, ``v = p - pc`` and
+``s^2 = sigma_j^2 + sigma_k^2`` it is ``w exp(-u^2/s^2 + i alpha u)
+exp(-beta v^2 + i gamma v) exp(i c x p)``, where ``beta = 4 sigma_j^2
+sigma_k^2 / (s^2 hbar^2)``, ``c = 2 (sigma_k^2 - sigma_j^2) / (s^2 hbar)``
+is 0 for equal widths, and ``alpha``, ``gamma`` and the phase of ``w``
+take up the rest of ``c u v``.  Each factor peaks at 1 and ``|w|`` is at
+most twice the pair's weight, so none overflows.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -34,7 +45,7 @@ from subplanck.states import (
     GaussianComponent,
     MixedSpec,
     _branches,
-    _pair_exponent,
+    _Packets,
     psi_eval,
 )
 
@@ -157,31 +168,44 @@ def _pair_integral_hermite(
     return amp[:, None] * np.exp(1j * np.outer(mu, omega)) * node_sum[None, :]
 
 
-def _mirror(c: GaussianComponent) -> GaussianComponent:
-    """Parity image ``phi(-x)`` of a packet."""
-    return dataclasses.replace(c, x0=-c.x0, p0=-c.p0)
+def _pairs(cat: CatSpec):
+    """``(c_j c_k*, multiplicity, phi_j, phi_k)`` over the pairs ``j <= k``;
+    as ``I_kj = I_jk*``, an off-diagonal pair counts twice in the real part."""
+    for j, k in itertools.combinations_with_replacement(range(len(cat.components)), 2):
+        weight = cat.coefficients[j] * np.conj(cat.coefficients[k])
+        yield weight, 1 if j == k else 2, cat.components[j], cat.components[k]
 
 
-def _sum_pairs(
-    state: CatSpec | MixedSpec,
-    hbar: float,
-    pair_fn,
-) -> np.ndarray:
+def _sum_pairs(state: CatSpec | MixedSpec, hbar: float, pair_fn) -> np.ndarray:
     """``sum_b P_b N_b^2 sum_jk c_j c_k* I_jk / (2 pi hbar)`` using the
     hermiticity of the pair integrals to evaluate only ``j <= k``."""
     total = None
     for prob, cat in _branches(state):
         acc = None
-        n = len(cat.components)
-        for j in range(n):
-            for k in range(j, n):
-                weight = cat.coefficients[j] * np.conj(cat.coefficients[k])
-                term = weight * pair_fn(cat.components[j], cat.components[k])
-                term = term.real if j == k else 2 * term.real
-                acc = term if acc is None else acc + term
+        for weight, mult, cj, ck in _pairs(cat):
+            term = mult * (weight * pair_fn(cj, ck)).real
+            acc = term if acc is None else acc + term
         scaled = prob * cat.norm**2 * acc
         total = scaled if total is None else total + scaled
     return total / (2 * math.pi * hbar)
+
+
+@functools.lru_cache(maxsize=16)
+def _pair_table(state: CatSpec | MixedSpec, hbar: float):
+    """The separable pair terms (module docstring) of every branch, with
+    the chirps grouped; cached, as Brent steps evaluate one state often."""
+    ws, js, ks = zip(*((prob * cat.norm**2 * mult * weight, cj, ck)
+                       for prob, cat in _branches(state) for weight, mult, cj, ck in _pairs(cat)))
+    j, k = _Packets.of(js, ws), _Packets.of(ks, ws)  # j.coef: the pair weight
+    s2 = j.sigma**2 + k.sigma**2
+    xc, pc = (j.x0 + k.x0) / 2, (j.p0 + k.p0) / 2
+    c = 2 * (k.sigma**2 - j.sigma**2) / (s2 * hbar)
+    alpha, gamma = (j.p0 - k.p0) / hbar - c * pc, (k.x0 - j.x0) / hbar - c * xc
+    w = j.coef * np.sqrt(8 * j.sigma * k.sigma / s2) / (2 * math.pi * hbar)
+    w = w * np.exp(1j * (j.phase - k.phase + alpha * xc))
+    groups = tuple((cg, c == cg) for cg in np.unique(c))
+    beta = 4 * (j.sigma * k.sigma) ** 2 / (s2 * hbar**2)
+    return xc, pc, 1 / s2, beta, 1j * alpha, 1j * gamma, w, groups
 
 
 def wigner_transform(
@@ -218,31 +242,40 @@ def wigner_transform(
 
 
 def wigner_closed_eval(
-    state: CatSpec | MixedSpec,
-    x,
-    p,
-    units: UnitSystem = UnitSystem(),
+    state: CatSpec | MixedSpec, x, p, units: UnitSystem = UnitSystem()
 ) -> np.ndarray:
-    """Closed-form Wigner function at arbitrary points.
-
-    ``x`` and ``p`` broadcast against each other; the result has the
-    broadcast shape.
-    """
-    hbar = units.hbar
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    x2, p2 = 2 * x, 2 * p
-    phase = math.log(2) - 2j * x * p / hbar
-    pair_fn = lambda cj, ck: np.exp(_pair_exponent(ck, _mirror(cj), x2, p2, hbar) + phase)
-    return _sum_pairs(state, hbar, pair_fn)
+    """Closed-form Wigner function at arbitrary points, the pair sums of
+    :func:`wigner_closed`.  ``x`` and ``p`` broadcast against each other;
+    the result has the broadcast shape."""
+    x, p = np.asarray(x, dtype=float), np.asarray(p, dtype=float)
+    xc, pc, inv_s2, beta, i_alpha, i_gamma, w, groups = _pair_table(state, units.hbar)
+    u, v = x[..., None] - xc, p[..., None] - pc
+    a, b = np.exp((i_alpha - inv_s2 * u) * u), w * np.exp((i_gamma - beta * v) * v)
+    values = None
+    for c, pairs in groups:
+        ag, bg = a[..., pairs], b[..., pairs]
+        if c:
+            term = (np.exp(1j * c * x * p) * np.einsum("...k,...k->...", ag, bg)).real
+        else:  # Re(a b) = a.real b.real - a.imag b.imag
+            term = np.einsum("...k,...k->...", np.concatenate([ag.real, -ag.imag], axis=-1),
+                             np.concatenate([bg.real, bg.imag], axis=-1))
+        values = term if values is None else values + term
+    return values
 
 
 def wigner_closed(
-    state: CatSpec | MixedSpec,
-    grid: PhaseSpaceGrid,
-    units: UnitSystem = UnitSystem(),
+    state: CatSpec | MixedSpec, grid: PhaseSpaceGrid, units: UnitSystem = UnitSystem()
 ) -> WignerField:
-    """Wigner function from the exact per-pair Gaussian integrals."""
+    """Wigner function from the exact per-pair Gaussian integrals.
+
+    The pair terms factor as ``a(x) b(p) exp(i c x p)`` (module docstring),
+    so ``W = Re sum_c exp(i c x p) * (A_c @ B_c)`` over the pairs grouped by
+    ``c``: column ``k`` of ``A_c`` holds pair ``k``'s ``a`` on the x nodes,
+    row ``k`` of ``B_c`` its ``b`` on the p nodes.  Each factor is taken
+    relative to the peak of its own real exponent, the peaks go into the
+    weights, and equal widths need one real product and no chirp.  The
+    products run in numpy's loops, not BLAS, whose threads change rounding.
+    """
     values = wigner_closed_eval(state, grid.xs()[:, None], grid.ps()[None, :], units)
     return WignerField(grid=grid, values=values)
 

@@ -3,7 +3,9 @@
 The explicit closed forms of the reference cats are each written out by
 hand for one equal-width, zero-phase state, so they share no code with
 the general packet-pair routes in :mod:`subplanck.wigner` that the tests
-check against them.  The direct Gauss-Hermite node sum is kept here as
+check against them.  The closed-form Wigner function of any packet state
+is also kept here as one unfactored exponent per pair, the reference for
+the separable factors the package contracts.  The direct Gauss-Hermite node sum is kept here as
 the reference for the factored sum the package evaluates, scipy's
 Nelder-Mead simplex as the reference for the Kerr angle polish, and the
 loop scans of the zero-lattice detector and of the orthogonality
@@ -20,6 +22,7 @@ grid for the overlap oracle, and the inverse of
 :func:`subplanck.states.state_to_json`.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -46,7 +49,7 @@ from subplanck.states import (
     _husimi_seeds,
     _pair_exponent,
 )
-from subplanck.wigner import _pair_quadratic
+from subplanck.wigner import _pair_quadratic, _sum_pairs
 
 
 def wc1_closed(x, p, x0: float, sigma: float, units: UnitSystem = UnitSystem()):
@@ -178,6 +181,20 @@ def pair_integral_hermite_direct(
     phase = np.exp(1j * ys[:, :, None] * omega[None, None, :])  # (nx, order, np)
     amp = np.exp(d) / math.sqrt(a_y)  # (nx,)
     return amp[:, None] * np.einsum("t,xtp->xp", w, phase)
+
+
+def wigner_closed_direct(state: CatSpec | MixedSpec, x, p, units: UnitSystem = UnitSystem()):
+    """Closed-form Wigner function with one unfactored exponent per pair:
+    the overlap ``_pair_exponent(phi_k, phi_j(-.), 2x, 2p)`` plus the parity
+    phase ``log 2 - 2ixp/hbar``, on the broadcast shape of ``x`` and ``p``."""
+    hbar = units.hbar
+    x = np.asarray(x, dtype=float)
+    p = np.asarray(p, dtype=float)
+    x2, p2 = 2 * x, 2 * p
+    phase = math.log(2) - 2j * x * p / hbar
+    mirror = lambda c: dataclasses.replace(c, x0=-c.x0, p0=-c.p0)
+    pair_fn = lambda cj, ck: np.exp(_pair_exponent(ck, mirror(cj), x2, p2, hbar) + phase)
+    return _sum_pairs(state, hbar, pair_fn)
 
 
 def crossings_loop(coords: np.ndarray, vals: np.ndarray) -> list[tuple[float, float]]:

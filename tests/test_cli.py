@@ -14,15 +14,19 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import state_from_json, wigner_closed_direct
 
 import subplanck
 from conftest import P0, SIGMA, X0
 from subplanck.cli import main
+from subplanck.core import PhaseSpaceGrid, UnitSystem
 
 
 def run_cli(out_dir, *argv: str) -> int:
@@ -105,6 +109,49 @@ class TestWigner:
         rc, stderr = run_captured(tmp_path, *argv)
         error = assert_usage_error(rc, stderr, tmp_path, "wigner")
         assert error["kind"] == "ValueError" and f"order must lie in [16, 1024], got {order}" in error["message"]
+
+    @pytest.mark.parametrize("state", ["mixed", "compass"])
+    @pytest.mark.parametrize("far", [["--p0", "60"], ["--x0", "40"]], ids=["p0-60", "x0-40"])
+    def test_far_packets_keep_the_exact_field(self, tmp_path, state, far):
+        # At p0 = 60 (x0 = 40) and sigma = 1 the diagonal pair terms are
+        # about exp(-7200) (exp(-800)) at the origin.  A factor scaled by
+        # its value there instead of by its own peak reaches exp(7200),
+        # which the CLI traps as an overflow (exit 3).
+        assert run_cli(tmp_path, "wigner", "--state", state, *far, "--sigma", "1") == 0
+        payload = read_json(tmp_path, "wigner")
+        keys = ("x_min", "x_max", "p_min", "p_max", "nx", "np")
+        grid = PhaseSpaceGrid(**{k: payload["summary"][k] for k in keys})
+        rows = np.array([line.split(",") for line in read_csv_lines(tmp_path, "wigner")[1:]], float)
+        want = wigner_closed_direct(
+            state_from_json(payload["state"]), grid.xs()[:, None], grid.ps()[None, :], UnitSystem()
+        )
+        w = rows[:, 2].reshape(grid.nx, grid.np)
+        assert np.max(np.abs(w - want)) <= 1e-13 * np.max(np.abs(want))
+        assert payload["summary"]["max"] == w.max() and payload["summary"]["min"] == w.min()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["wigner", "--nx", "1000000"], "must lie in [2, 65536], got nx=1000000,"),
+            (["wigner", "--np", "1000000000000"], "must lie in [2, 65536], got nx=201, np=1000000000000"),
+            (["wigner", "--nx", "65536", "--np", "65536"], "--nx * --np must not exceed 16777216"),
+            (["wigner", "--method", "integral", "--nx", "4097", "--np", "4096"], "--nx * --np"),
+            (["tiles", "--nx", "1000000"], "must lie in [2, 65536], got nx=1000000,"),
+            (["tiles", "--np", "1000000000000"], "must lie in [2, 65536], got nx=257, np=1000000000000"),
+        ],
+    )
+    def test_oversized_grid_exits_2_before_allocating(self, tmp_path, argv, flag):
+        # a grid axis of 1e6 floats alone is 8 MB, a field of 2^32 points
+        # 34 GB; the caps are checked before any sample array exists
+        tracemalloc.start()
+        try:
+            rc, stderr = run_captured(tmp_path, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        error = assert_usage_error(rc, stderr, tmp_path, argv[0])
+        assert flag in error["message"]
+        assert peak < 2**20
 
     def test_format_json_skips_csv(self, tmp_path):
         rc = run_cli(
@@ -678,3 +725,25 @@ print(json.dumps(loaded))
     )
     loaded = json.loads(proc.stdout)
     assert loaded == {key: [] for key in ["import", *(" ".join(argv) for argv in runs)]}
+
+
+def test_wigner_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # The closed-form field is a sum of factor-matrix products, which
+    # threaded BLAS kernels round differently with the thread count; the
+    # artifacts must be the same bytes under 1 and 2 BLAS threads.
+    src = os.path.dirname(os.path.dirname(subplanck.__file__))
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+            OPENBLAS_NUM_THREADS=threads,
+            OMP_NUM_THREADS=threads,
+        )
+        for state in ("mixed", "compass"):
+            argv = ["wigner", "--state", state, "--nx", "401", "--np", "401"]
+            out = str(tmp_path / threads / state)
+            subprocess.run([sys.executable, "-m", "subplanck", *argv, "--out", out],
+                           env=env, check=True, timeout=120)
+    for state in ("mixed", "compass"):
+        for name in ("wigner.csv", "wigner.json"):
+            assert (tmp_path / "1" / state / name).read_bytes() == (tmp_path / "2" / state / name).read_bytes()

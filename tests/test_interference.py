@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 import math
 import re
 from pathlib import Path
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import crossings_loop, touches_loop, wc1_closed, wc2_closed, wrho_closed
 
+from subplanck.cli import main
 from subplanck.core import ResolutionError, UnitSystem, linspace_grid
 from subplanck.interference import (
     LatticeError,
@@ -128,6 +130,29 @@ def test_tile_area_over_draws(x0, p0, sigma, compass, even):
     predicted = math.pi**2 * HBAR**2 / (16 * x0 * p0)
     assert tile_area(lattice) == pytest.approx(predicted, rel=1e-2)
     assert checkerboard_report(evaluator, lattice)["signs_ok"]
+
+
+def _tile_area_cli(out, state: str, lam: float, mu: float) -> float:
+    """``tiles`` at defaults in the units x -> lam x, p -> mu p, hbar -> lam mu hbar."""
+    argv = ["tiles", "--state", state, "--x0", repr(lam * X0), "--p0", repr(mu * P0),
+            "--sigma", repr(lam * SIGMA), "--hbar", repr(lam * mu * HBAR), "--out", str(out)]
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0
+    return json.loads((out / "tiles.json").read_text(encoding="utf-8"))["lattice"]["tile_area_measured"]
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(log_lam=st.floats(-6.0, 6.0), log_mu=st.floats(-6.0, 6.0), state=st.sampled_from(["mixed", "compass"]))
+@example(log_lam=-5.0, log_mu=-5.0, state="mixed")
+@example(log_lam=6.0, log_mu=-6.0, state="compass")
+def test_tile_area_does_not_depend_on_units(tmp_path_factory, log_lam, log_mu, state):
+    """Rescaling length by lam and momentum by mu (hbar follows) rescales
+    the measured tile by lam mu and nothing else: the solver tolerances
+    are stated relative to the grid, not in absolute units."""
+    lam, mu = 10.0**log_lam, 10.0**log_mu
+    base = _tile_area_cli(tmp_path_factory.mktemp("base"), state, 1.0, 1.0)
+    scaled = _tile_area_cli(tmp_path_factory.mktemp("scaled"), state, lam, mu)
+    assert scaled / (lam * mu) == pytest.approx(base, rel=1e-9, abs=0)
 
 
 class TestLatticeDetection:

@@ -15,6 +15,7 @@ from oracles import (
     pair_integral_hermite_direct,
     wc1_closed,
     wc2_closed,
+    wigner_closed_direct,
     wigner_of_fock,
     wrho_closed,
 )
@@ -369,3 +370,73 @@ def test_hermite_node_sum_factors(data, hbar, order):
     got = _pair_integral_hermite(cj, ck, xs, ps, hbar, roots_hermite(order))
     want = pair_integral_hermite_direct(cj, ck, xs, ps, hbar, order)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+WIDTHS = (0.3, 0.45, 0.6, 0.8, 1.0)
+
+
+def chirps(state, hbar: float) -> set[float]:
+    """Nonzero chirp coefficients ``2 (s_k^2 - s_j^2) / ((s_j^2 + s_k^2) hbar)``
+    of the packet pairs of every branch."""
+    return {
+        2 * (b.sigma**2 - a.sigma**2) / ((a.sigma**2 + b.sigma**2) * hbar)
+        for _, cat in branches_of(state)
+        for i, a in enumerate(cat.components)
+        for b in cat.components[i:]
+    } - {0.0}
+
+
+@st.composite
+def chirped_states(draw):
+    """A pure state of 3-4 packets or a two-branch mixture, with widths
+    from a short list (so pairs of equal and of unequal widths both
+    occur), off-axis centres, phases, complex weights and an arbitrary
+    norm, whose pairs span at least two distinct nonzero chirps; and its
+    ``hbar``."""
+    hbar = draw(st.floats(0.4, 0.9))
+
+    def cat(n: int) -> CatSpec:
+        comps = tuple(
+            GaussianComponent(
+                sigma=draw(st.sampled_from(WIDTHS)),
+                x0=draw(st.floats(-3.0, 3.0)),
+                p0=draw(st.floats(-4.0, 4.0)),
+                phase=draw(st.floats(-math.pi, math.pi)),
+            )
+            for _ in range(n)
+        )
+        coefs = tuple(
+            cmath.rect(draw(st.floats(0.2, 1.0)), draw(st.floats(-math.pi, math.pi))) for _ in range(n)
+        )
+        return CatSpec(components=comps, coefficients=coefs, norm=draw(st.floats(0.3, 1.5)))
+
+    if draw(st.booleans()):
+        state = cat(draw(st.integers(3, 4)))
+    else:
+        weight = draw(st.floats(0.2, 0.8))
+        state = MixedSpec(branches=((weight, cat(3)), (1 - weight, cat(draw(st.integers(2, 3))))))
+    assume(len(chirps(state, hbar)) >= 2)
+    return state, hbar
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(chirped_states())
+def test_separable_closed_form_matches_direct_oracle(drawn):
+    """Both contractions of the separable factors, the matrix products on
+    an outer grid and the pair sums at scattered points, equal the
+    unfactored pair exponents to 1e-13 of max |W|, chirp groups included."""
+    state, hbar = drawn
+    units = UnitSystem(hbar)
+    comps = packets_of(state)
+    x_half = max(abs(c.x0) + 4 * c.sigma for c in comps)
+    p_half = max(abs(c.p0) + 2 * hbar / c.sigma for c in comps)
+    grid = linspace_grid(x_half, p_half, 41, 37)
+    want = wigner_closed_direct(state, grid.xs()[:, None], grid.ps()[None, :], units)
+    bound = 1e-13 * np.max(np.abs(want))
+    assert np.max(np.abs(wigner_closed(state, grid, units).values - want)) <= bound
+    rng = np.random.default_rng(13)
+    x, p = rng.uniform(-x_half, x_half, 64), rng.uniform(-p_half, p_half, 64)
+    for xs, ps in ((x, p), (x, p[0]), (x[0], p), (x[:8, None], p[None, :5])):
+        got = wigner_closed_eval(state, xs, ps, units)
+        assert got.shape == np.broadcast_shapes(np.shape(xs), np.shape(ps))
+        assert np.max(np.abs(got - wigner_closed_direct(state, xs, ps, units))) <= bound
