@@ -52,7 +52,6 @@ from subplanck.interference import (
 from subplanck.metrology import (
     SearchError,
     SensitivityResult,
-    compare_with_compass,
     find_orthogonality,
     overlap_closed,
     overlap_reference,
@@ -96,7 +95,6 @@ __all__ = [
     "bath_moments",
     "check_coverage",
     "checkerboard_report",
-    "compare_with_compass",
     "decoherence_time",
     "find_orthogonality",
     "find_zero_lattice",

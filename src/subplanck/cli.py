@@ -65,7 +65,7 @@ from subplanck.interference import (
 )
 from subplanck.metrology import (
     SearchError,
-    compare_with_compass,
+    SensitivityResult,
     find_orthogonality,
     overlap_closed,
     overlap_reference,
@@ -384,6 +384,18 @@ def _cmd_tiles(args, units: UnitSystem) -> None:
     _write_outputs(args, "tiles", payload, _rows_to_csv(["family", "index", "position"], rows))
 
 
+def _search(state, args, units: UnitSystem) -> SensitivityResult:
+    """Orthogonality search on the exact overlap, with each axis scan
+    bracketed at 1.5 pi hbar over the state's separation along the other."""
+    return find_orthogonality(
+        lambda d1, d2: overlap_closed(state, d1, d2, units),
+        1.5 * math.pi * units.hbar / args.x0,
+        1.5 * math.pi * units.hbar / args.p0,
+        tol=args.tol,
+        n_scan=args.n_scan,
+    )
+
+
 def _cmd_sensitivity(args, units: UnitSystem) -> None:
     _require_bounds(args, positive=("n1", "n2", "n_scan"))
     state = _build_state(args.state, args.x0, args.p0, args.sigma, units)
@@ -409,14 +421,7 @@ def _cmd_sensitivity(args, units: UnitSystem) -> None:
         "scan": {"d1_max": d1_max, "d2_max": d2_max},
     }
     if not args.no_search:
-        result = find_orthogonality(
-            lambda d1, d2: overlap_closed(state, d1, d2, units),
-            1.5 * math.pi * units.hbar / args.x0,
-            1.5 * math.pi * units.hbar / args.p0,
-            tol=args.tol,
-            n_scan=args.n_scan,
-        )
-        payload["orthogonality"] = dataclasses.asdict(result)
+        payload["orthogonality"] = dataclasses.asdict(_search(state, args, units))
     _write_outputs(
         args,
         "sensitivity",
@@ -470,22 +475,15 @@ def _cmd_kerr(args, units: UnitSystem) -> None:
 
 def _cmd_compare(args, units: UnitSystem) -> None:
     _require_bounds(args, positive=("n_scan",))
-    mixed = _build_state("mixed", args.x0, args.p0, args.sigma, units)
-    compass = _build_state("compass", args.x0, args.p0, args.sigma, units)
-    result = compare_with_compass(
-        mixed,
-        compass,
-        1.5 * math.pi * units.hbar / args.x0,
-        1.5 * math.pi * units.hbar / args.p0,
-        units,
-        tol=args.tol,
-        n_scan=args.n_scan,
+    mixed, compass = (
+        _search(_build_state(name, args.x0, args.p0, args.sigma, units), args, units)
+        for name in ("mixed", "compass")
     )
     payload = {
         "params": _params_echo(args, ["x0", "p0", "sigma", "tol", "n_scan"]),
-        "mixed": dataclasses.asdict(result["mixed"]),
-        "compass": dataclasses.asdict(result["compass"]),
-        "product_ratio": result["product_ratio"],
+        "mixed": dataclasses.asdict(mixed),
+        "compass": dataclasses.asdict(compass),
+        "product_ratio": mixed.product / compass.product,
     }
     _write_outputs(args, "compare", payload, None)
 

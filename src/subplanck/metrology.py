@@ -308,34 +308,3 @@ def find_orthogonality(
         axis2_dip=s2,
         iterations=iters,
     )
-
-
-def compare_with_compass(
-    mixed: MixedSpec,
-    compass: CatSpec,
-    bracket1: float,
-    bracket2: float,
-    units: UnitSystem = UnitSystem(),
-    tol: float = 0.02,
-    n_scan: int = 601,
-) -> dict:
-    """Run the orthogonality protocol on the cat mixture and the
-    compass state and compare the displacement products.
-
-    Both searches evaluate :func:`overlap_closed`.  Returns a dict with
-    both :class:`SensitivityResult` entries and the ``product_ratio``
-    (mixed over compass).
-    """
-
-    def search(state: CatSpec | MixedSpec) -> SensitivityResult:
-        return find_orthogonality(
-            lambda d1, d2: overlap_closed(state, d1, d2, units),
-            bracket1, bracket2, tol=tol, n_scan=n_scan,
-        )
-
-    res_m, res_c = search(mixed), search(compass)
-    return {
-        "mixed": res_m,
-        "compass": res_c,
-        "product_ratio": res_m.product / res_c.product,
-    }

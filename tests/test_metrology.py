@@ -14,7 +14,6 @@ from subplanck.metrology import (
     OverlapScan,
     SearchError,
     _first_dip,
-    compare_with_compass,
     find_orthogonality,
     overlap_closed,
     overlap_reference,
@@ -357,9 +356,13 @@ class TestEffectiveModel:
 
 class TestCompassComparison:
     def test_products_match(self, mixed, units):
-        compass = make_compass(X0, P0, SIGMA, units)
-        out = compare_with_compass(mixed, compass, BRACKET1, BRACKET2, units, n_scan=201)
-        assert out["mixed"].achieved and out["compass"].achieved
-        assert out["product_ratio"] == pytest.approx(1.0, abs=1e-6)
-        assert out["compass"].delta1_star == pytest.approx(D1_STAR, rel=1e-5)
-        assert out["compass"].delta2_star == pytest.approx(D2_STAR, rel=1e-5)
+        res_m, res_c = (
+            find_orthogonality(
+                lambda d1, d2: overlap_closed(state, d1, d2, units), BRACKET1, BRACKET2, n_scan=201
+            )
+            for state in (mixed, make_compass(X0, P0, SIGMA, units))
+        )
+        assert res_m.achieved and res_c.achieved
+        assert res_m.product / res_c.product == pytest.approx(1.0, abs=1e-6)
+        assert res_c.delta1_star == pytest.approx(D1_STAR, rel=1e-5)
+        assert res_c.delta2_star == pytest.approx(D2_STAR, rel=1e-5)
