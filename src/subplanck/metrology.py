@@ -25,6 +25,7 @@ mixture and the compass state without assuming either's closed form.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,12 +39,20 @@ from subplanck.core import (
     brent_min,
     integrate_2d,
 )
-from subplanck.states import CatSpec, MixedSpec, _branches, _pair_exponent
+from subplanck.states import CatSpec, MixedSpec, _branches
 from subplanck.wigner import wigner_closed_eval
 
 
 class SearchError(PhaseSpaceError):
     """An orthogonality search found no usable minimum."""
+
+
+@functools.lru_cache(maxsize=16)
+def _overlap_table(state: CatSpec | MixedSpec, hbar: float):
+    """Pair forms, coefficient products and branch starts; cached for the polish."""
+    v = state._packets
+    starts = np.cumsum([0] + [len(cat.components) for _, cat in _branches(state)][:-1])
+    return v.pair_form(hbar), np.outer(v.coef.conj(), v.coef), starts
 
 
 def overlap_closed(
@@ -61,24 +70,20 @@ def overlap_closed(
         O = (2 pi hbar)^-1 sum_{b,b'} p_b p_b' |<psi_b| D |psi_b'>|^2,
 
     where ``D`` shifts position by ``delta2`` and momentum by ``delta1``.
-    All packet-pair overlaps come from one call of the pair kernel
-    :func:`~subplanck.states._pair_exponent`, so the cost is O(K^2) per
+    Every packet-pair overlap is one exponent of the pair form
+    :func:`~subplanck.states._pair_form`, so the cost is O(K^2) per
     displacement for K packets and nothing is sampled.  The global
     phase of ``D`` cancels in ``|.|^2``, and ``O(delta) = O(-delta)``.
 
     ``delta1`` and ``delta2`` broadcast against each other; the result
     has their broadcast shape, or is a float for scalar displacements.
     """
-    v = state._packets
-    n = v.coef.size
-    d1, d2 = np.broadcast_arrays(np.asarray(delta1, dtype=float), np.asarray(delta2, dtype=float))
+    form, coef, starts = _overlap_table(state, units.hbar)
     # packet axes lead, so every array pass runs over contiguous displacements
-    ones = (1,) * d1.ndim
-    terms = np.exp(_pair_exponent(v.shaped(n, 1, *ones), v.shaped(1, n, *ones), d2, d1, units.hbar))
-    terms *= np.outer(v.coef.conj(), v.coef).reshape(n, n, *ones)
+    lead = (..., *(None,) * np.broadcast(delta1, delta2).ndim)
+    terms = coef[lead] * np.exp(form._make(f[lead] for f in form).at(delta2, delta1))
     # sum the packet pairs of each branch pair into its matrix element;
-    # sqrt(p_b) N_b is already folded into v.coef
-    starts = np.cumsum([0] + [len(cat.components) for _, cat in _branches(state)][:-1])
+    # sqrt(p_b) N_b is already folded into the coefficients
     amp = np.add.reduceat(np.add.reduceat(terms, starts, axis=0), starts, axis=1)
     total = (amp.real**2 + amp.imag**2).sum(axis=(0, 1)) / (2 * math.pi * units.hbar)
     return total if total.ndim else float(total)

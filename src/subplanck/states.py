@@ -20,6 +20,7 @@ so ``sigma`` is the position standard deviation of a single packet.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -82,39 +83,40 @@ class _Packets(NamedTuple):
         fields = zip(*((c.sigma, c.x0, c.p0, c.phase) for c in components))
         return cls(*map(np.array, fields), np.array(coefficients, dtype=complex))
 
-    def shaped(self, *shape: int) -> _Packets:
-        """The view with every field reshaped to ``shape``."""
-        return _Packets(*(f.reshape(shape) for f in self))
+    def pair_form(self, hbar: float) -> _PairForm:
+        """:func:`_pair_form` of every ordered pair of packets, ``a`` on the rows."""
+        return _pair_form(self._make(f[:, None] for f in self), self._make(f[None] for f in self), hbar)
 
 
-def _pair_exponent(a, b, dx, dp, hbar: float):
-    """Complex logarithm of ``<phi_a| D |phi_b>`` for unit wave packets.
+class _PairForm(namedtuple("_PairForm", "x p curv_x curv_p phase_x phase_p chirp log_amp")):
+    """A pair exponent about its peak ``(x, p)``: with ``u = dx - x`` and
+    ``v = dp - p`` it is ``log_amp - curv_x u^2 - curv_p v^2 + i (phase_x u
+    + phase_p v + chirp u v)``, its fields broadcast like the packets."""
 
-    ``D`` displaces ``phi_b`` by ``(dx, dp)``:
-    ``(D phi)(x) = exp(i dp x / hbar) phi(x - dx)``, a packet centred at
-    ``(x0 + dx, p0 + dp)`` with phase ``phase - p0 dx / hbar``.  ``a`` and
-    ``b`` are packets or :class:`_Packets` views whose fields broadcast
-    against each other and against ``dx`` and ``dp``.
+    def at(self, dx, dp):
+        """The exponent at ``(dx, dp)``, which broadcasts against the fields."""
+        u, v = dx - self.x, dp - self.p
+        re = self.log_amp.real - self.curv_x * u * u - self.curv_p * v * v
+        im = self.log_amp.imag + self.phase_x * u + (self.phase_p + self.chirp * u) * v
+        return re + 1j * im
 
-    This is the package's one evaluation of the Gaussian-pair integral:
-    ``phi_a* D phi_b`` is a Gaussian of precision
-    ``(sa^2 + sb^2) / (4 sa^2 sb^2)`` about ``mid`` times the tone
-    ``exp(i kappa x)``.  The overlap, the Wigner function and the
-    characteristic function each take ``exp`` of it plus their own phase.
+
+def _pair_form(a, b, hbar: float) -> _PairForm:
+    """``log <phi_a| D |phi_b>`` for unit wave packets ``a`` and ``b``, or
+    :class:`_Packets` views that broadcast together; ``D`` displaces by the
+    ``(dx, dp)`` of :meth:`_PairForm.at`, ``exp(i dp x / hbar) phi(x - dx)``.
+
+    This is the package's one derivation of the Gaussian-pair integral.
+    The chirp ``sigma_a^2 / (s^2 hbar)`` is summed as ``1/(2 hbar)`` plus a
+    width term, so the Wigner chirp ``4 chirp - 2/hbar`` is 0 for equal widths.
     """
-    sa2 = a.sigma**2
-    sb2 = b.sigma**2
+    sa2, sb2 = a.sigma**2, b.sigma**2
     s2 = sa2 + sb2
-    xb = b.x0 + dx
-    kappa = (b.p0 - a.p0 + dp) / hbar
-    mid = (sb2 * a.x0 + sa2 * xb) / s2
-    # each group depends on dx only or on dp only, so separable dx and dp
-    # arrays meet in as few full-size passes as possible
-    re = (0.5 * np.log(2 * a.sigma * b.sigma / s2) - (xb - a.x0) ** 2 / (4 * s2)) - kappa**2 * (
-        sa2 * sb2 / s2
-    )
-    im = kappa * mid + (b.phase - a.phase - b.p0 * dx / hbar)
-    return re + 1j * im
+    x, p = a.x0 - b.x0, a.p0 - b.p0
+    log_amp = 0.5 * np.log(2 * a.sigma * b.sigma / s2) + 1j * (b.phase - a.phase - b.p0 * x / hbar)
+    chirp = 0.5 / hbar + (sa2 - sb2) / (2 * s2 * hbar)
+    curv_p = (a.sigma * b.sigma / hbar) ** 2 / s2
+    return _PairForm(x, p, 1 / (4 * s2), curv_p, -b.p0 / hbar, a.x0 / hbar, chirp, log_amp)
 
 
 @dataclass(frozen=True)
@@ -198,8 +200,7 @@ def _gram_norm(
 ) -> float:
     """Normalization constant from the component Gram matrix."""
     v = _Packets.of(components, coefficients)
-    n = len(v.coef)
-    gram = np.exp(_pair_exponent(v.shaped(n, 1), v.shaped(1, n), 0.0, 0.0, units.hbar))
+    gram = np.exp(v.pair_form(units.hbar).at(0.0, 0.0))
     total = float(np.real(v.coef.conj() @ gram @ v.coef))
     if total <= 0:
         raise ValueError("superposition has zero norm")

@@ -12,16 +12,13 @@ Their agreement is a strong end-to-end check of both.  The
 characteristic function and the number-basis Wigner route, which only
 the tests use, live with the test oracles.
 
-The exact term of the packet pair ``(j, k)``, the overlap
+The exact term of the packet pair ``(j, k)`` is the overlap
 ``2 <phi_k| D(2x, 2p) |phi_j(-.)>`` times Royer's parity phase
-``exp(-2ixp/hbar)`` (Phys. Rev. A 15, 449 (1977)), is separable about the
-pair's centre ``(xc, pc)``.  With ``u = x - xc``, ``v = p - pc`` and
-``s^2 = sigma_j^2 + sigma_k^2`` it is ``w exp(-u^2/s^2 + i alpha u)
-exp(-beta v^2 + i gamma v) exp(i c x p)``, where ``beta = 4 sigma_j^2
-sigma_k^2 / (s^2 hbar^2)``, ``c = 2 (sigma_k^2 - sigma_j^2) / (s^2 hbar)``
-is 0 for equal widths, and ``alpha``, ``gamma`` and the phase of ``w``
-take up the rest of ``c u v``.  Each factor peaks at 1 and ``|w|`` is at
-most twice the pair's weight, so none overflows.
+``exp(-2ixp/hbar)`` (Phys. Rev. A 15, 449 (1977)), read from the pair form
+:func:`~subplanck.states._pair_form`.  About the pair's centre
+``(xc, pc)`` it is ``w a(x - xc) b(p - pc) exp(i c x p)``: the Gaussian
+factors ``a`` and ``b`` peak at 1 and ``|w|`` is at most twice the pair's
+weight, so none overflows, and the chirp ``c`` is 0 for equal widths.
 """
 
 from __future__ import annotations
@@ -45,6 +42,7 @@ from subplanck.states import (
     GaussianComponent,
     MixedSpec,
     _branches,
+    _pair_form,
     _Packets,
     psi_eval,
 )
@@ -197,15 +195,12 @@ def _pair_table(state: CatSpec | MixedSpec, hbar: float):
     ws, js, ks = zip(*((prob * cat.norm**2 * mult * weight, cj, ck)
                        for prob, cat in _branches(state) for weight, mult, cj, ck in _pairs(cat)))
     j, k = _Packets.of(js, ws), _Packets.of(ks, ws)  # j.coef: the pair weight
-    s2 = j.sigma**2 + k.sigma**2
-    xc, pc = (j.x0 + k.x0) / 2, (j.p0 + k.p0) / 2
-    c = 2 * (k.sigma**2 - j.sigma**2) / (s2 * hbar)
-    alpha, gamma = (j.p0 - k.p0) / hbar - c * pc, (k.x0 - j.x0) / hbar - c * xc
-    w = j.coef * np.sqrt(8 * j.sigma * k.sigma / s2) / (2 * math.pi * hbar)
-    w = w * np.exp(1j * (j.phase - k.phase + alpha * xc))
+    f = _pair_form(k, j._replace(x0=-j.x0, p0=-j.p0), hbar)
+    c = 4 * (f.chirp - 0.5 / hbar)
+    alpha, gamma = 2 * (f.phase_x - f.chirp * f.p), 2 * (f.phase_p - f.chirp * f.x)
+    w = j.coef * 2 * np.exp(f.log_amp - 1j * f.chirp * f.x * f.p) / (2 * math.pi * hbar)
     groups = tuple((cg, c == cg) for cg in np.unique(c))
-    beta = 4 * (j.sigma * k.sigma) ** 2 / (s2 * hbar**2)
-    return xc, pc, 1 / s2, beta, 1j * alpha, 1j * gamma, w, groups
+    return f.x / 2, f.p / 2, 4 * f.curv_x, 4 * f.curv_p, 1j * alpha, 1j * gamma, w, groups
 
 
 def wigner_transform(
@@ -271,10 +266,9 @@ def wigner_closed(
     The pair terms factor as ``a(x) b(p) exp(i c x p)`` (module docstring),
     so ``W = Re sum_c exp(i c x p) * (A_c @ B_c)`` over the pairs grouped by
     ``c``: column ``k`` of ``A_c`` holds pair ``k``'s ``a`` on the x nodes,
-    row ``k`` of ``B_c`` its ``b`` on the p nodes.  Each factor is taken
-    relative to the peak of its own real exponent, the peaks go into the
-    weights, and equal widths need one real product and no chirp.  The
-    products run in numpy's loops, not BLAS, whose threads change rounding.
+    row ``k`` of ``B_c`` its ``b`` on the p nodes; equal widths need one
+    real product and no chirp.  The products run in numpy's loops, not
+    BLAS, whose threads change rounding.
     """
     values = wigner_closed_eval(state, grid.xs()[:, None], grid.ps()[None, :], units)
     return WignerField(grid=grid, values=values)

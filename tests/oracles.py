@@ -3,10 +3,12 @@
 The explicit closed forms of the reference cats are each written out by
 hand for one equal-width, zero-phase state, so they share no code with
 the general packet-pair routes in :mod:`subplanck.wigner` that the tests
-check against them.  The closed-form Wigner function of any packet state
-is also kept here as one unfactored exponent per pair, the reference for
-the separable factors the package contracts.  The direct Gauss-Hermite node sum is kept here as
-the reference for the factored sum the package evaluates, scipy's
+check against them.  The Gaussian-pair integral is kept here unfactored
+(``_pair_exponent``), the reference for the package's separable pair
+form, and so is the closed-form Wigner function of any packet state as
+one such exponent per pair, the reference for the factors the package
+contracts.  The direct Gauss-Hermite node sum is kept here as the
+reference for the factored sum the package evaluates, scipy's
 Nelder-Mead simplex as the reference for the Kerr angle polish, and the
 loop scans of the zero-lattice detector and of the orthogonality
 search's dip picker as the references for their array masks.  The FFT
@@ -47,9 +49,39 @@ from subplanck.states import (
     MixedSpec,
     _branches,
     _husimi_seeds,
-    _pair_exponent,
 )
-from subplanck.wigner import _pair_quadratic, _sum_pairs
+from subplanck.wigner import _pair_quadratic
+
+
+def _pair_exponent(a, b, dx, dp, hbar: float):
+    """Complex logarithm of ``<phi_a| D |phi_b>`` for unit wave packets.
+
+    ``D`` displaces ``phi_b`` by ``(dx, dp)``:
+    ``(D phi)(x) = exp(i dp x / hbar) phi(x - dx)``, a packet centred at
+    ``(x0 + dx, p0 + dp)`` with phase ``phase - p0 dx / hbar``.  ``a`` and
+    ``b`` are packets or :class:`_Packets` views whose fields broadcast
+    against each other and against ``dx`` and ``dp``.
+
+    This is the unfactored Gaussian-pair integral, the reference for the
+    package's separable :func:`subplanck.states._pair_form`:
+    ``phi_a* D phi_b`` is a Gaussian of precision
+    ``(sa^2 + sb^2) / (4 sa^2 sb^2)`` about ``mid`` times the tone
+    ``exp(i kappa x)``.  The overlap, the Wigner function and the
+    characteristic function each take ``exp`` of it plus their own phase.
+    """
+    sa2 = a.sigma**2
+    sb2 = b.sigma**2
+    s2 = sa2 + sb2
+    xb = b.x0 + dx
+    kappa = (b.p0 - a.p0 + dp) / hbar
+    mid = (sb2 * a.x0 + sa2 * xb) / s2
+    # each group depends on dx only or on dp only, so separable dx and dp
+    # arrays meet in as few full-size passes as possible
+    re = (0.5 * np.log(2 * a.sigma * b.sigma / s2) - (xb - a.x0) ** 2 / (4 * s2)) - kappa**2 * (
+        sa2 * sb2 / s2
+    )
+    im = kappa * mid + (b.phase - a.phase - b.p0 * dx / hbar)
+    return re + 1j * im
 
 
 def wc1_closed(x, p, x0: float, sigma: float, units: UnitSystem = UnitSystem()):
@@ -184,17 +216,23 @@ def pair_integral_hermite_direct(
 
 
 def wigner_closed_direct(state: CatSpec | MixedSpec, x, p, units: UnitSystem = UnitSystem()):
-    """Closed-form Wigner function with one unfactored exponent per pair:
-    the overlap ``_pair_exponent(phi_k, phi_j(-.), 2x, 2p)`` plus the parity
-    phase ``log 2 - 2ixp/hbar``, on the broadcast shape of ``x`` and ``p``."""
+    """Closed-form Wigner function with one unfactored exponent per ordered
+    packet pair: the overlap ``_pair_exponent(phi_k, phi_j(-.), 2x, 2p)``
+    plus the parity phase ``log 2 - 2ixp/hbar``, on the broadcast shape of
+    ``x`` and ``p``."""
     hbar = units.hbar
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     x2, p2 = 2 * x, 2 * p
     phase = math.log(2) - 2j * x * p / hbar
-    mirror = lambda c: dataclasses.replace(c, x0=-c.x0, p0=-c.p0)
-    pair_fn = lambda cj, ck: np.exp(_pair_exponent(ck, mirror(cj), x2, p2, hbar) + phase)
-    return _sum_pairs(state, hbar, pair_fn)
+    out = np.zeros(np.broadcast(x, p).shape, dtype=complex)
+    for prob, cat in _branches(state):
+        for c_j, cj in zip(cat.coefficients, cat.components):
+            mirror = dataclasses.replace(cj, x0=-cj.x0, p0=-cj.p0)
+            for c_k, ck in zip(cat.coefficients, cat.components):
+                weight = prob * cat.norm**2 * c_j * c_k.conjugate()
+                out += weight * np.exp(_pair_exponent(ck, mirror, x2, p2, hbar) + phase)
+    return out.real / (2 * math.pi * hbar)
 
 
 def crossings_loop(coords: np.ndarray, vals: np.ndarray) -> list[tuple[float, float]]:

@@ -30,6 +30,7 @@ from subplanck.states import (
     kerr_evolve,
     make_cat_momentum,
     make_cat_position,
+    make_compass,
     make_mixed,
     psi_eval,
 )
@@ -37,6 +38,7 @@ from subplanck.wigner import (
     CoverageError,
     _hermite_nodes,
     _pair_integral_hermite,
+    _pair_table,
     check_coverage,
     wigner_closed,
     wigner_closed_eval,
@@ -440,3 +442,14 @@ def test_separable_closed_form_matches_direct_oracle(drawn):
         got = wigner_closed_eval(state, xs, ps, units)
         assert got.shape == np.broadcast_shapes(np.shape(xs), np.shape(ps))
         assert np.max(np.abs(got - wigner_closed_direct(state, xs, ps, units))) <= bound
+
+
+@pytest.mark.parametrize("hbar", [1.0, 0.3, 0.7, 2.5])
+def test_reference_states_need_no_chirp(hbar):
+    """Every packet pair of the four reference states falls in the group
+    with chirp exactly 0, so their fields are one real product."""
+    units = UnitSystem(hbar)
+    cat_x, cat_p = make_cat_position(X0, SIGMA, units), make_cat_momentum(P0, SIGMA, units)
+    for state in (cat_x, cat_p, make_mixed(cat_x, cat_p), make_compass(X0, P0, SIGMA, units)):
+        groups = _pair_table(state, hbar)[-1]
+        assert [(c, bool(pairs.all())) for c, pairs in groups] == [(0.0, True)]
