@@ -1,6 +1,7 @@
 """Tests for the bath-contact evolution and fringe attenuation."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from oracles import (
 from subplanck.core import UnitSystem, integrate_2d, linspace_grid
 from subplanck.decoherence import (
     BathParams,
+    _xx_bracket,
     attenuation_curve,
     attenuation_exponent,
     attenuation_numeric,
@@ -182,6 +184,13 @@ class TestAttenuation:
         a = [attenuation_exponent(bath, float(t), X0, SIGMA, units) for t in ts]
         assert all(a[i] < a[i + 1] for i in range(len(a) - 1))
 
+    def test_momentum_exponent_rises_at_the_ulp_scale(self, bath, units):
+        # 201 times 1e-15 relative apart where the momentum pair's A is
+        # about 4: the exponent must not fall from one to the next
+        ts = 0.358 * (1 + 1e-15 * np.arange(201))
+        a = attenuation_exponent(bath, ts, P0, SIGMA, units, "momentum")
+        assert np.all(np.diff(a) >= 0)
+
     def test_invalid_kind(self, bath, units):
         with pytest.raises(ValueError, match="kind"):
             attenuation_exponent(bath, 0.1, X0, SIGMA, units, kind="sideways")
@@ -310,6 +319,29 @@ class TestDecoherenceTime:
             decoherence_time(bath, offset, sigma, units, kind)
         with pytest.raises(ValueError, match="sigma|offset"):
             attenuation_exponent(bath, 0.1, offset, sigma, units, kind)
+
+
+def xx_bracket_reference(u: float) -> float:
+    """``2u - 3 + 4 e^-u - e^-2u`` in 60-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        d = Decimal(u)
+        return float(2 * d - 3 + 4 * (-d).exp() - (-2 * d).exp())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.floats(-8.0, math.log10(50.0)).map(lambda e: 10.0**e))
+@example(np.nextafter(1.0, 0.0))
+@example(1.0)
+@example(np.nextafter(1.0, 2.0))
+@example(np.nextafter(0.02, 0.0))
+@example(0.02)
+@example(0.0358)
+def test_xx_bracket_matches_decimal_reference(u):
+    # the bracket of <X^2> is O(u^3) from O(u) pieces: each side of the
+    # series/expm1 switch must keep full relative accuracy
+    want = xx_bracket_reference(u)
+    assert abs(float(_xx_bracket(np.float64(u))) - want) <= 2e-15 * want
 
 
 @SEEDED
