@@ -1,14 +1,18 @@
 """Tests for displacement-overlap measurements and orthogonality searches."""
 
+import contextlib
+import io
+import json
 import math
 
 import numpy as np
 import pytest
 from conftest import P0, SIGMA, X0
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import default_scan_grid, first_dip_loop, overlap_map
 
+from subplanck.cli import main
 from subplanck.core import UnitSystem
 from subplanck.metrology import (
     OverlapScan,
@@ -366,3 +370,28 @@ class TestCompassComparison:
         assert res_m.product / res_c.product == pytest.approx(1.0, abs=1e-6)
         assert res_c.delta1_star == pytest.approx(D1_STAR, rel=1e-5)
         assert res_c.delta2_star == pytest.approx(D2_STAR, rel=1e-5)
+
+
+def _compare_cli(out, lam: float, mu: float) -> dict:
+    """``compare`` at defaults in the units x -> lam x, p -> mu p, hbar -> lam mu hbar."""
+    argv = ["compare", "--x0", repr(lam * X0), "--p0", repr(mu * P0), "--sigma", repr(lam * SIGMA),
+            "--hbar", repr(lam * mu * HBAR), "--out", str(out)]
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0
+    return json.loads((out / "compare.json").read_text(encoding="utf-8"))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(log_lam=st.floats(-6.0, 6.0), log_mu=st.floats(-6.0, 6.0))
+@example(log_lam=-6.0, log_mu=-6.0)
+@example(log_lam=-6.0, log_mu=6.0)
+@example(log_lam=6.0, log_mu=-5.0)
+def test_search_does_not_depend_on_units(tmp_path_factory, log_lam, log_mu):
+    """Rescaling length by lam and momentum by mu (hbar follows) rescales
+    both orthogonality products by lam mu and leaves their ratio alone."""
+    lam, mu = 10.0**log_lam, 10.0**log_mu
+    base = _compare_cli(tmp_path_factory.mktemp("base"), 1.0, 1.0)
+    scaled = _compare_cli(tmp_path_factory.mktemp("scaled"), lam, mu)
+    for state in ("mixed", "compass"):
+        assert scaled[state]["product"] / (lam * mu) == pytest.approx(base[state]["product"], rel=1e-9, abs=0)
+    assert scaled["product_ratio"] == pytest.approx(base["product_ratio"], rel=1e-9, abs=0)
