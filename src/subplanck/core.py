@@ -110,10 +110,6 @@ class PhaseSpaceGrid:
         """Momentum samples, shape ``(np,)``."""
         return np.linspace(self.p_min, self.p_max, self.np)
 
-    def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(X, P)`` arrays of shape ``(nx, np)``."""
-        return np.meshgrid(self.xs(), self.ps(), indexing="ij")
-
 
 def linspace_grid(x_half: float, p_half: float, nx: int, np: int) -> PhaseSpaceGrid:
     """Grid covering ``-half .. +half`` along each axis."""
@@ -147,12 +143,6 @@ class WignerField:
         if not np.all(np.isfinite(v)):
             raise InvalidFieldError("field contains non-finite samples")
         object.__setattr__(self, "values", v)
-
-    def at_origin(self) -> float:
-        """Value at the grid node nearest ``(0, 0)``."""
-        i = int(np.argmin(np.abs(self.grid.xs())))
-        j = int(np.argmin(np.abs(self.grid.ps())))
-        return float(self.values[i, j])
 
 
 _QUAD_RULES = ("trapezoid", "simpson", "gauss-hermite")

@@ -30,6 +30,18 @@ def route_gap(state, grid, units, quadrature=Quadrature()) -> float:
     return float(np.abs(closed - wigner_transform(state, grid, units, quadrature).values).max())
 
 
+def meshgrid(grid) -> tuple[np.ndarray, np.ndarray]:
+    """``(X, P)`` arrays of shape ``(nx, np)`` on ``grid``."""
+    return np.meshgrid(grid.xs(), grid.ps(), indexing="ij")
+
+
+def at_origin(field) -> float:
+    """Value of ``field`` at the grid node nearest ``(0, 0)``."""
+    i = int(np.argmin(np.abs(field.grid.xs())))
+    j = int(np.argmin(np.abs(field.grid.ps())))
+    return float(field.values[i, j])
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if ACCEPTANCE_LINES:
         terminalreporter.section("acceptance checklist")

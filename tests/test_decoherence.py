@@ -5,7 +5,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from conftest import P0, SIGMA, X0
+from conftest import P0, SIGMA, X0, meshgrid
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
@@ -387,7 +387,7 @@ class TestEvolutionMap:
         t = 0.3
         grid = linspace_grid(7.0, 5.0, 121, 121)
         field = evolved_wigner(cat_x, free, t, grid, units)
-        xm, pm = grid.meshgrid()
+        xm, pm = meshgrid(grid)
         sheared = wigner_closed_eval(cat_x, xm - pm * t / free.mass, pm, units)
         assert np.abs(field.values - sheared).max() < 1e-13
 
@@ -396,7 +396,7 @@ class TestEvolutionMap:
         # the identity: the momentum variable carries the friction term.
         grid = linspace_grid(7.0, 5.0, 121, 121)
         field = evolved_wigner(cat_x, bath, 0.0, grid, units)
-        xm, pm = grid.meshgrid()
+        xm, pm = meshgrid(grid)
         tilted = wigner_closed_eval(
             cat_x, xm, pm + bath.mass * bath.gamma * xm, units
         )

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import P0, SIGMA, X0, route_gap
+from conftest import P0, SIGMA, X0, meshgrid, route_gap
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
@@ -48,19 +48,19 @@ from subplanck.wigner import (
 
 class TestClosedForms:
     def test_position_cat_matches_named_form(self, cat_x, units, wide_grid):
-        xm, pm = wide_grid.meshgrid()
+        xm, pm = meshgrid(wide_grid)
         general = wigner_closed_eval(cat_x, xm, pm, units)
         named = wc1_closed(xm, pm, X0, SIGMA, units)
         assert np.max(np.abs(general - named)) < 1e-14
 
     def test_momentum_cat_matches_named_form(self, cat_p, units, wide_grid):
-        xm, pm = wide_grid.meshgrid()
+        xm, pm = meshgrid(wide_grid)
         general = wigner_closed_eval(cat_p, xm, pm, units)
         named = wc2_closed(xm, pm, P0, SIGMA, units)
         assert np.max(np.abs(general - named)) < 1e-14
 
     def test_mixture_matches_named_form(self, mixed, units, wide_grid):
-        xm, pm = wide_grid.meshgrid()
+        xm, pm = meshgrid(wide_grid)
         general = wigner_closed_eval(mixed, xm, pm, units)
         named = wrho_closed(xm, pm, X0, P0, SIGMA, units)
         assert np.max(np.abs(general - named)) < 1e-14
