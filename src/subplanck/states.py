@@ -107,15 +107,16 @@ def _pair_form(a, b, hbar: float) -> _PairForm:
     ``(dx, dp)`` of :meth:`_PairForm.at`, ``exp(i dp x / hbar) phi(x - dx)``.
 
     This is the package's one derivation of the Gaussian-pair integral.
-    The chirp ``sigma_a^2 / (s^2 hbar)`` is summed as ``1/(2 hbar)`` plus a
-    width term, so the Wigner chirp ``4 chirp - 2/hbar`` is 0 for equal widths.
+    The chirp ``sigma_a^2 / ((sigma_a^2 + sigma_b^2) hbar)`` is summed as
+    ``1/(2 hbar)`` plus a width term, so that the Wigner function's chirp
+    ``4 chirp - 2/hbar`` is exactly 0 for equal widths.
     """
     sa2, sb2 = a.sigma**2, b.sigma**2
     s2 = sa2 + sb2
     x, p = a.x0 - b.x0, a.p0 - b.p0
     log_amp = 0.5 * np.log(2 * a.sigma * b.sigma / s2) + 1j * (b.phase - a.phase - b.p0 * x / hbar)
     chirp = 0.5 / hbar + (sa2 - sb2) / (2 * s2 * hbar)
-    curv_p = (a.sigma * b.sigma / hbar) ** 2 / s2
+    curv_p = sa2 * sb2 / (s2 * hbar**2)
     return _PairForm(x, p, 1 / (4 * s2), curv_p, -b.p0 / hbar, a.x0 / hbar, chirp, log_amp)
 
 

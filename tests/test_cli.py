@@ -44,6 +44,19 @@ def read_csv_lines(out_dir, name: str) -> list[str]:
     return text[:-1].split("\n")
 
 
+def assert_exact_field(out_dir, units: UnitSystem) -> None:
+    """The written ``wigner`` CSV and summary agree with the unfactored
+    closed form within 1e-13 of max |W|."""
+    payload = read_json(out_dir, "wigner")
+    keys = ("x_min", "x_max", "p_min", "p_max", "nx", "np")
+    grid = PhaseSpaceGrid(**{k: payload["summary"][k] for k in keys})
+    rows = np.array([line.split(",") for line in read_csv_lines(out_dir, "wigner")[1:]], float)
+    want = wigner_closed_direct(state_from_json(payload["state"]), grid.xs()[:, None], grid.ps()[None, :], units)
+    w = rows[:, 2].reshape(grid.nx, grid.np)
+    assert np.max(np.abs(w - want)) <= 1e-13 * np.max(np.abs(want))
+    assert payload["summary"]["max"] == w.max() and payload["summary"]["min"] == w.min()
+
+
 def last_error(capsys) -> dict:
     err = capsys.readouterr().err.strip().splitlines()[-1]
     return json.loads(err)["error"]
@@ -118,16 +131,18 @@ class TestWigner:
         # its value there instead of by its own peak reaches exp(7200),
         # which the CLI traps as an overflow (exit 3).
         assert run_cli(tmp_path, "wigner", "--state", state, *far, "--sigma", "1") == 0
-        payload = read_json(tmp_path, "wigner")
-        keys = ("x_min", "x_max", "p_min", "p_max", "nx", "np")
-        grid = PhaseSpaceGrid(**{k: payload["summary"][k] for k in keys})
-        rows = np.array([line.split(",") for line in read_csv_lines(tmp_path, "wigner")[1:]], float)
-        want = wigner_closed_direct(
-            state_from_json(payload["state"]), grid.xs()[:, None], grid.ps()[None, :], UnitSystem()
-        )
-        w = rows[:, 2].reshape(grid.nx, grid.np)
-        assert np.max(np.abs(w - want)) <= 1e-13 * np.max(np.abs(want))
-        assert payload["summary"]["max"] == w.max() and payload["summary"]["min"] == w.min()
+        assert_exact_field(tmp_path, UnitSystem())
+
+    @pytest.mark.parametrize("state", ["mixed", "compass"])
+    @pytest.mark.parametrize("hbar", ["1e150", "1e300"])
+    def test_extreme_hbar_traps_or_keeps_the_exact_field(self, tmp_path, state, hbar):
+        # At hbar = 1e300 the p curvature sigma_j^2 sigma_k^2 / (s^2 hbar^2)
+        # is below the smallest double; a field summed without it has no
+        # momentum envelope, so the run must trap the overflow of hbar^2.
+        rc, _ = run_captured(tmp_path, "wigner", "--state", state, "--hbar", hbar, "--nx", "41", "--np", "41")
+        assert rc == (3 if hbar == "1e300" else 0)
+        if rc == 0:
+            assert_exact_field(tmp_path, UnitSystem(float(hbar)))
 
     @pytest.mark.parametrize(
         "argv, flag",
