@@ -13,14 +13,18 @@ the original far sooner than the packet widths suggest.
 
 :func:`overlap_closed` evaluates the overlap exactly through the trace
 rule ``Tr(rho sigma) = 2 pi hbar iint W_rho W_sigma`` and broadcasts over
-displacement arrays; it is the production route.  Two independent
+displacement arrays; it is the production route.  Each packet-pair
+overlap is one exponent of the Gaussian-pair form that the Gram norm and
+the Wigner pair table also read, :func:`subplanck.states._pair_form`,
+cached per state and ``hbar``.  Two independent
 oracles check it: :class:`OverlapScan` integrates the sampled product
 by quadrature, and the tests' ``overlap_map`` (``tests/oracles.py``)
 autocorrelates a sampled field by FFT.
 
 :func:`find_orthogonality` measures the first orthogonality point with
 a deterministic scan-ray-polish protocol that works for both the cat
-mixture and the compass state without assuming either's closed form.
+mixture and the compass state without assuming either's closed form;
+the CLI's ``sensitivity`` and ``compare`` run it on :func:`overlap_closed`.
 """
 
 from __future__ import annotations
