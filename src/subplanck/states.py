@@ -107,9 +107,8 @@ def _pair_form(a, b, hbar: float) -> _PairForm:
     ``(dx, dp)`` of :meth:`_PairForm.at`, ``exp(i dp x / hbar) phi(x - dx)``.
 
     This is the package's one derivation of the Gaussian-pair integral.
-    The chirp ``sigma_a^2 / ((sigma_a^2 + sigma_b^2) hbar)`` is summed as
-    ``1/(2 hbar)`` plus a width term, so that the Wigner function's chirp
-    ``4 chirp - 2/hbar`` is exactly 0 for equal widths.
+    Its chirp is summed as ``1/(2 hbar)`` plus a width term, so that the
+    Wigner function's chirp ``4 chirp - 2/hbar`` is 0 for equal widths.
     """
     sa2, sb2 = a.sigma**2, b.sigma**2
     s2 = sa2 + sb2
