@@ -15,9 +15,12 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
+
+from subplanck._shortest import repr_bytes
 
 
 class PhaseSpaceError(Exception):
@@ -385,19 +388,21 @@ def _format_float(v: float) -> str:
     return repr(float(v))
 
 
-def write_text_atomic(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` via a temp file and atomic rename.
+@contextmanager
+def _atomic_file(path: str):
+    """Binary file that replaces ``path`` by atomic rename when the block
+    completes.
 
     The temp file has a unique name in the target directory, so
     concurrent writers to one path never share it; it is removed if the
-    write fails.
+    block raises.
     """
     d, name = os.path.split(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     tmp = os.path.join(d, f".{name}.{os.urandom(8).hex()}.tmp")
     try:
-        with open(tmp, "x", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(tmp, "xb") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -405,23 +410,48 @@ def write_text_atomic(path: str, text: str) -> None:
         raise
 
 
+def write_text_atomic(path: str, text: str | bytes) -> None:
+    """Write ``text`` (str as UTF-8, or bytes) to ``path`` via a temp file
+    and atomic rename; see :func:`_atomic_file`."""
+    with _atomic_file(path) as fh:
+        fh.write(text.encode("utf-8") if isinstance(text, str) else text)
+
+
 def write_json(obj, path: str) -> None:
     """Serialize ``obj`` to JSON with sorted keys, atomically."""
     write_text_atomic(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
+_CSV_BLOCK = 16384  # values per block of field_to_csv
+
+
 def field_to_csv(field: WignerField, path: str) -> None:
     """Write a sampled field as ``x,p,w`` rows (x-major order).
 
-    Every number is written as ``repr`` of the Python float that
-    ``tolist()`` returns, the same text :func:`_format_float` gives.
+    Every number is written as ``repr`` of its float, the same text
+    :func:`_format_float` gives, but made for whole arrays at once by the
+    shortest-digit kernel :func:`subplanck._shortest.repr_bytes`.  The
+    tests hold the file byte for byte to the per-value ``repr`` writer
+    ``tests/oracles.py::field_to_csv_repr``.  Lines are assembled and
+    written in blocks of about 16k values, so the text is never held
+    whole.
     """
-    p_text = [repr(p) for p in field.grid.ps().tolist()]
-    lines = ["x,p,w"]
-    for x, row in zip(field.grid.xs().tolist(), field.values.tolist()):
-        head = f"{x!r},"
-        lines.append("\n".join([f"{head}{p},{w!r}" for p, w in zip(p_text, row)]))
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    xs, ps = repr_bytes(field.grid.xs()), repr_bytes(field.grid.ps())
+    nx, np_ = field.values.shape
+    rows = max(1, _CSV_BLOCK // np_)
+    wx, wp = xs.shape[1], ps.shape[1]
+    with _atomic_file(path) as fh:
+        fh.write(b"x,p,w\n")
+        for i in range(0, nx, rows):
+            w = repr_bytes(field.values[i : i + rows].ravel())
+            block = np.empty((len(w) // np_, np_, wx + wp + w.shape[1] + 3), np.uint8)
+            block[:, :, :wx] = xs[i : i + rows, None]
+            block[:, :, wx] = ord(",")
+            block[:, :, wx + 1 : wx + 1 + wp] = ps
+            block[:, :, wx + 1 + wp] = ord(",")
+            block[:, :, wx + 2 + wp : -1] = w.reshape(-1, np_, w.shape[1])
+            block[:, :, -1] = ord("\n")
+            fh.write(block.tobytes().translate(None, b"\0"))
 
 
 def field_summary(field: WignerField) -> dict:

@@ -11,7 +11,9 @@ contracts.  The direct Gauss-Hermite node sum is kept here as the
 reference for the factored sum the package evaluates, scipy's
 Nelder-Mead simplex as the reference for the Kerr angle polish, and the
 loop scans of the zero-lattice detector and of the orthogonality
-search's dip picker as the references for their array masks.  The FFT
+search's dip picker as the references for their array masks.  The
+per-value ``repr`` CSV writer is the reference for the package's
+shortest-digit kernel.  The FFT
 autocorrelation of a sampled field is the independent route to the
 displacement overlap.
 
@@ -33,7 +35,13 @@ from scipy.fft import irfft2, next_fast_len, rfft2
 from scipy.optimize import minimize, minimize_scalar
 from scipy.special import roots_hermite
 
-from subplanck.core import PhaseSpaceGrid, UnitSystem, WignerField, _uniform_weights
+from subplanck.core import (
+    PhaseSpaceGrid,
+    UnitSystem,
+    WignerField,
+    _uniform_weights,
+    write_text_atomic,
+)
 from subplanck.decoherence import (
     BathParams,
     _add,
@@ -643,3 +651,17 @@ def state_from_json(data: dict) -> CatSpec | MixedSpec:
         branches = tuple((p, state_from_json(c)) for p, c in data["branches"])
         return MixedSpec(branches=branches)
     raise ValueError(f"unknown state kind {kind!r}")
+
+
+def field_to_csv_repr(field: WignerField, path: str) -> None:
+    """Write a sampled field as ``x,p,w`` rows (x-major order).
+
+    Every number is written as ``repr`` of the Python float that
+    ``tolist()`` returns, the same text :func:`_format_float` gives.
+    """
+    p_text = [repr(p) for p in field.grid.ps().tolist()]
+    lines = ["x,p,w"]
+    for x, row in zip(field.grid.xs().tolist(), field.values.tolist()):
+        head = f"{x!r},"
+        lines.append("\n".join([f"{head}{p},{w!r}" for p, w in zip(p_text, row)]))
+    write_text_atomic(path, "\n".join(lines) + "\n")

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import at_origin, meshgrid
+from conftest import P0, X0, at_origin, meshgrid
+from oracles import field_to_csv_repr
 from scipy.optimize import brentq, minimize_scalar
 
 import subplanck
@@ -22,6 +23,7 @@ from subplanck import (
     WignerField,
     integrate_2d,
     linspace_grid,
+    wigner_closed,
 )
 from subplanck.core import (
     _format_float,
@@ -164,6 +166,20 @@ class TestWriters:
         assert path.read_text() == "one"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.txt"]
 
+    def test_write_text_atomic_str_and_bytes_agree(self, tmp_path):
+        text = "x,p,w\n-0.0,1e-05,5e-324\n\u03c0\n"
+        write_text_atomic(str(tmp_path / "s.csv"), text)
+        write_text_atomic(str(tmp_path / "b.csv"), text.encode("utf-8"))
+        assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        assert (tmp_path / "s.csv").read_bytes() == text.encode("utf-8")
+
+    def test_write_text_atomic_failed_bytes_write_leaves_no_temp_file(self, tmp_path):
+        # The rename onto a directory fails after the bytes are written.
+        (tmp_path / "d").mkdir()
+        with pytest.raises(OSError):
+            write_text_atomic(str(tmp_path / "d"), b"one")
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]
+
     def test_write_text_atomic_concurrent_writers(self, tmp_path):
         # Writers to one path must not share a temp file: each rename
         # installs one complete text, and nothing is left behind.
@@ -200,22 +216,32 @@ class TestWriters:
         assert float(first[0]) == -1.0 and float(first[1]) == -1.0
 
     def test_field_to_csv_matches_per_cell_repr(self, tmp_path):
-        def reference_csv(field):
-            xs, ps = field.grid.xs(), field.grid.ps()
-            lines = ["x,p,w"]
-            for i in range(field.grid.nx):
-                for j in range(field.grid.np):
-                    cells = (xs[i], ps[j], field.values[i, j])
-                    lines.append(",".join(repr(float(v)) for v in cells))
-            return "\n".join(lines) + "\n"
-
         g = PhaseSpaceGrid(x_min=-0.3, x_max=1.7, p_min=-2.0, p_max=0.1 + 0.2, nx=3, np=7)
         values = np.random.default_rng(7).normal(size=(3, 7)) * 1e3
         values[0, :5] = [-0.0, 1e-5, 5e-324, 1e16, 0.1 + 0.2]
         f = WignerField(grid=g, values=values)
-        path = tmp_path / "f.csv"
-        field_to_csv(f, str(path))
-        assert path.read_text() == reference_csv(f)
+        field_to_csv(f, str(tmp_path / "f.csv"))
+        field_to_csv_repr(f, str(tmp_path / "oracle.csv"))
+        assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    @pytest.mark.parametrize("name, nx, np_", [
+        ("cat_x", 601, 601), ("cat_p", 601, 601), ("mixed", 601, 601), ("compass", 601, 601),
+        ("compass", 257, 90),
+    ])
+    def test_field_to_csv_matches_oracle_on_reference_states(self, name, nx, np_, units, request,
+                                                             tmp_path):
+        state = request.getfixturevalue(name)
+        f = wigner_closed(state, linspace_grid(X0 + 4, P0 + 8, nx, np_), units)
+        field_to_csv(f, str(tmp_path / "f.csv"))
+        field_to_csv_repr(f, str(tmp_path / "oracle.csv"))
+        assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    def test_field_to_csv_failure_leaves_no_file(self, tmp_path):
+        f = gaussian_field(linspace_grid(1.0, 1.0, 3, 4))
+        object.__setattr__(f, "values", np.full((3, 4), np.inf))
+        with pytest.raises(ValueError):
+            field_to_csv(f, str(tmp_path / "f.csv"))
+        assert list(tmp_path.iterdir()) == []
 
     def test_field_summary_keys(self):
         f = gaussian_field(linspace_grid(8.0, 8.0, 81, 81))
