@@ -270,6 +270,16 @@ def find_orthogonality(
     SearchError
         If an axis scan shows no interior minimum (e.g. for a plain
         Gaussian state whose overlap decays monotonically).
+
+    Notes
+    -----
+    The axis dips ``axis1_dip`` and ``axis2_dip`` are minima of an
+    overlap that stays well above zero there, so it is flat to second
+    order about them and a relative change of order eps in its value
+    moves them by about sqrt(eps): they are located only to about 1.5e-8
+    relative, although the artifacts write them with 17 digits.  They
+    only aim the ray scan; the polished point is a zero of the overlap
+    and does not inherit that spread.
     """
     if not math.isfinite(tol):
         raise ValueError(f"tol must be finite, got {tol}")
