@@ -190,8 +190,9 @@ def repr_bytes(values: np.ndarray) -> np.ndarray:
     right.ravel()[1:] = left.ravel()[:-1]
     right.ravel()[:1] = 0
 
-    # mantissa: the digits before the point, the point, the digits after
-    # it up to the last non-zero one (sci) or the first after the point
+    # mantissa: the digits before the point, the point and the digits after
+    # it up to the last non-zero one; positional text keeps one digit after
+    # the point ("1.0"), scientific text drops a point with none ("1e+16")
     point = _MANTISSA - 1 - frac
     last = np.where(tz < frac, _MANTISSA - 1 - tz, np.where(sci, point - 1, point + 1))
     text = left & np.take(before, point * 18 + whole, axis=0)
