@@ -27,6 +27,7 @@ from subplanck import (
 )
 from subplanck.core import (
     _format_float,
+    _malloc_trim,
     brent_min,
     brent_root,
     field_summary,
@@ -242,6 +243,27 @@ class TestWriters:
         with pytest.raises(ValueError):
             field_to_csv(f, str(tmp_path / "f.csv"))
         assert list(tmp_path.iterdir()) == []
+
+    def test_field_to_csv_trims_the_heap_after_large_texts(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(subplanck.core, "_malloc_trim", lambda: calls.append)
+        f = gaussian_field(linspace_grid(1.0, 1.0, 3, 4))
+        field_to_csv(f, str(tmp_path / "small.csv"))
+        assert calls == []
+        monkeypatch.setattr(subplanck.core, "_TRIM_BYTES", (tmp_path / "small.csv").stat().st_size)
+        field_to_csv(f, str(tmp_path / "large.csv"))
+        assert calls == [0]
+
+    def test_malloc_trim_is_none_without_glibc(self, monkeypatch):
+        class NoTrim:  # a C library without glibc's malloc_trim
+            pass
+
+        monkeypatch.setattr(subplanck.core.ctypes, "CDLL", lambda name: NoTrim())
+        _malloc_trim.cache_clear()
+        try:
+            assert _malloc_trim() is None
+        finally:
+            _malloc_trim.cache_clear()
 
     def test_field_summary_keys(self):
         f = gaussian_field(linspace_grid(8.0, 8.0, 81, 81))
