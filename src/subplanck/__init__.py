@@ -32,7 +32,6 @@ from subplanck.states import (
     make_cat_position,
     make_compass,
     make_mixed,
-    psi_eval,
     state_to_json,
 )
 from subplanck.wigner import (
@@ -111,7 +110,6 @@ __all__ = [
     "overlap_closed",
     "overlap_reference",
     "propagation_matrix",
-    "psi_eval",
     "state_to_json",
     "tau_formula_momentum",
     "tau_formula_position",

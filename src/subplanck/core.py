@@ -412,11 +412,11 @@ def _atomic_file(path: str):
         raise
 
 
-def write_text_atomic(path: str, text: str | bytes) -> None:
-    """Write ``text`` (str as UTF-8, or bytes) to ``path`` via a temp file
-    and atomic rename; see :func:`_atomic_file`."""
+def write_text_atomic(path: str, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path`` via a temp file and atomic
+    rename; see :func:`_atomic_file`."""
     with _atomic_file(path) as fh:
-        fh.write(text.encode("utf-8") if isinstance(text, str) else text)
+        fh.write(bytes(text, "utf-8"))
 
 
 def write_json(obj, path: str) -> None:

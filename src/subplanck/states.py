@@ -261,21 +261,6 @@ def make_compass(
     return CatSpec(components=comps, coefficients=coeffs, norm=_gram_norm(comps, coeffs, units))
 
 
-def psi_eval(spec: CatSpec, x: np.ndarray, units: UnitSystem = UnitSystem()) -> np.ndarray:
-    """Evaluate the wave function of a :class:`CatSpec` on ``x``.
-
-    Returns
-    -------
-    numpy.ndarray of complex, same shape as ``x``.
-    """
-    v = spec._packets
-    u = np.asarray(x, dtype=float)[..., None]
-    phi = (2 * math.pi * v.sigma**2) ** -0.25 * np.exp(
-        -((u - v.x0) ** 2) / (4 * v.sigma**2) + 1j * (v.p0 * u / units.hbar + v.phase)
-    )
-    return phi @ v.coef
-
-
 @dataclass(frozen=True)
 class FockVector:
     """State vector in the number basis.

@@ -6,7 +6,8 @@ Wigner transform (normalized to ``iint W dx dp = 1``):
 
 Two independent evaluation routes are provided for superpositions of
 Gaussian packets: :func:`wigner_transform` integrates the defining
-integral numerically (quadrature on the evaluated wave packets), while
+integral numerically (a factored node sum of each packet pair's chord
+product, for every quadrature rule), while
 :func:`wigner_closed` sums the exact per-pair Gaussian integrals.
 Their agreement is a strong end-to-end check of both.  The
 characteristic function and the number-basis Wigner route, which only
@@ -44,54 +45,10 @@ from subplanck.states import (
     _branches,
     _pair_form,
     _Packets,
-    psi_eval,
 )
 
 _TAIL_SIGMAS = 8.5  # Gaussian tails are below 3e-16 beyond this many widths
 _COVERAGE_SIGMAS = 6.1  # margin check_coverage demands around each packet
-
-
-def _pair_integral_uniform(
-    cj: GaussianComponent,
-    ck: GaussianComponent,
-    xs: np.ndarray,
-    ps: np.ndarray,
-    units: UnitSystem,
-    rule: str,
-) -> np.ndarray:
-    """``I_jk(x, p) = int phi_j(x - y/2) phi_k*(x + y/2) e^{i p y/hbar} dy``
-    on the outer grid ``xs x ps``, by direct quadrature of the evaluated
-    packets.
-
-    The integrand is a Gaussian of width ``s`` in ``y`` times a tone of
-    angular frequency ``(p - (p0_j + p0_k)/2) / hbar``; a uniform step
-    ``h = 2 pi / (omega_max + tail/s)`` keeps the aliasing error of the
-    trapezoid sum at the level of the Gaussian tail itself.
-    """
-    hbar = units.hbar
-    a_y, mus, _ = _pair_quadratic(cj, ck, xs, hbar)
-    s = 1 / math.sqrt(2 * a_y)
-    lo = float(mus.min()) - _TAIL_SIGMAS * s
-    hi = float(mus.max()) + _TAIL_SIGMAS * s
-    qbar = 0.5 * (cj.p0 + ck.p0)
-    omega_max = float(np.max(np.abs(ps - qbar))) / hbar
-    h = 2 * math.pi / (omega_max + _TAIL_SIGMAS / s)
-    if rule == "simpson":
-        # Composite Simpson mixes trapezoid sums at step h and 2h, so the
-        # anti-aliasing step criterion must hold for the doubled step too.
-        h /= 2
-    ny = max(int(math.ceil((hi - lo) / h)) + 1, 16)
-    if rule == "simpson" and ny % 2 == 0:
-        ny += 1
-    ys = np.linspace(lo, hi, ny)
-    w = _uniform_weights(rule, ny, ys[1] - ys[0])
-
-    def packet(c: GaussianComponent, u: np.ndarray) -> np.ndarray:
-        return psi_eval(CatSpec(components=(c,), coefficients=(1.0,), norm=1.0), u, units)
-
-    kern = packet(cj, xs[:, None] - ys[None, :] / 2) * np.conj(packet(ck, xs[:, None] + ys[None, :] / 2))
-    tone = w[:, None] * np.exp(1j * np.outer(ys, ps) / hbar)
-    return kern @ tone
 
 
 def _pair_quadratic(
@@ -131,39 +88,63 @@ def _hermite_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-def _pair_integral_hermite(
+def _rule_nodes(
+    quadrature: Quadrature, a_y: float, omega_max: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes ``t`` and weights ``w`` with ``sum_n w_n f(t_n)`` close to
+    ``int exp(-A t^2) f(t) dt`` for tones ``f`` up to angular frequency
+    ``omega_max``.
+
+    Gauss-Hermite scales its ``quadrature.order`` nodes to the width.  The
+    uniform rules span the Gaussian to its tail, ``+-8.5`` widths
+    ``s = 1/sqrt(2A)``, at a step ``h = 2 pi / (omega_max + 8.5/s)`` that
+    keeps the aliasing error at the level of the tail itself, and fold
+    ``exp(-A t^2)`` into the weights.
+    """
+    if quadrature.rule == "gauss-hermite":
+        t, w = _hermite_nodes(quadrature.order)
+        root = math.sqrt(a_y)
+        return t / root, w / root
+    s = 1 / math.sqrt(2 * a_y)
+    h = 2 * math.pi / (omega_max + _TAIL_SIGMAS / s)
+    if quadrature.rule == "simpson":
+        # Composite Simpson mixes trapezoid sums at step h and 2h, so the
+        # anti-aliasing step criterion must hold for the doubled step too.
+        h /= 2
+    n = max(int(math.ceil(2 * _TAIL_SIGMAS * s / h)) + 1, 16)
+    if quadrature.rule == "simpson" and n % 2 == 0:
+        n += 1
+    t = np.linspace(-_TAIL_SIGMAS * s, _TAIL_SIGMAS * s, n)
+    return t, _uniform_weights(quadrature.rule, n, t[1] - t[0]) * np.exp(-a_y * t**2)
+
+
+def _pair_integral(
     cj: GaussianComponent,
     ck: GaussianComponent,
     xs: np.ndarray,
     ps: np.ndarray,
     hbar: float,
-    nodes: tuple[np.ndarray, np.ndarray],
+    quadrature: Quadrature,
 ) -> np.ndarray:
-    """Gauss-Hermite evaluation of the same pair integral.
+    """``I_jk(x, p) = int phi_j(x - y/2) phi_k*(x + y/2) e^{i p y/hbar} dy``
+    on the outer grid ``xs x ps``, by the node sum of ``quadrature``.
 
-    ``nodes`` are the Hermite nodes and weights ``(t, w)``.
-
-    The Gaussian factor is absorbed into the Hermite weight
-    analytically (evaluating it and dividing back out would overflow),
-    so only the residual tone is sampled at the nodes.  Accurate while
-    the tone completes few cycles across the Gaussian; for fast tones
-    prefer the uniform rules.
-
-    The nodes sit at ``y = mu(x) + t / sqrt(A)``, so the tone
-    ``exp(i y omega(p))`` factors into ``exp(i mu(x) omega(p))`` times
-    ``S(p) = sum_t w_t exp(i t omega(p) / sqrt(A))``, which does not
-    depend on ``x``.  The node sum is therefore taken once per momentum,
-    and a pair costs ``O(order * np + nx * np)`` rather than
-    ``O(nx * order * np)``.  ``S`` is summed at the nodes, not replaced
-    by its limit, so the route stays an independent quadrature.
+    By :func:`_pair_quadratic` the integrand is
+    ``exp(-A t^2 + D(x) + i mu(x) omega(p)) e^{i t omega(p)}`` with
+    ``t = y - mu(x)`` and ``omega = (p - (p0_j + p0_k)/2) / hbar``.  The
+    Gaussian goes into the weights of :func:`_rule_nodes` (analytically
+    for Gauss-Hermite: evaluating it and dividing back out would
+    overflow), and the node sum ``S(p) = sum_n w_n exp(i t_n omega(p))``
+    does not depend on ``x``, so it is taken once per momentum: a pair costs
+    ``O(nodes * np + nx * np)``.  ``S`` is summed at the nodes, not
+    replaced by its limit, so the route stays an independent quadrature;
+    it runs in numpy's loops, not BLAS, whose threads change rounding.
     """
-    t, w = nodes
     a_y, mu, d = _pair_quadratic(cj, ck, xs, hbar)
-    qbar = 0.5 * (cj.p0 + ck.p0)
-    omega = (ps - qbar) / hbar  # (np,)
-    node_sum = np.exp(1j * np.outer(omega, t) / math.sqrt(a_y)) @ w  # (np,)
-    amp = np.exp(d) / math.sqrt(a_y)  # (nx,)
-    return amp[:, None] * np.exp(1j * np.outer(mu, omega)) * node_sum[None, :]
+    omega = (ps - 0.5 * (cj.p0 + ck.p0)) / hbar  # (np,)
+    t, w = _rule_nodes(quadrature, a_y, float(np.max(np.abs(omega))))
+    node_sum = np.einsum("pn,n->p", np.exp(1j * np.outer(omega, t)), w)  # (np,)
+    return np.exp(d)[:, None] * np.exp(1j * np.outer(mu, omega)) * node_sum[None, :]
 
 
 def _pairs(cat: CatSpec):
@@ -211,6 +192,10 @@ def wigner_transform(
 ) -> WignerField:
     """Wigner function by numerical quadrature of the defining integral.
 
+    Each packet pair's integral is a node sum over the chord offset ``y``,
+    factored so that it is taken once per momentum (:func:`_pair_integral`);
+    the packets themselves are never sampled.
+
     Parameters
     ----------
     state : CatSpec or MixedSpec
@@ -228,11 +213,7 @@ def wigner_transform(
     WignerField
     """
     xs, ps = grid.xs(), grid.ps()
-    if quadrature.rule == "gauss-hermite":
-        nodes = _hermite_nodes(quadrature.order)
-        pair_fn = lambda cj, ck: _pair_integral_hermite(cj, ck, xs, ps, units.hbar, nodes)
-    else:
-        pair_fn = lambda cj, ck: _pair_integral_uniform(cj, ck, xs, ps, units, quadrature.rule)
+    pair_fn = lambda cj, ck: _pair_integral(cj, ck, xs, ps, units.hbar, quadrature)
     return WignerField(grid=grid, values=_sum_pairs(state, units.hbar, pair_fn))
 
 

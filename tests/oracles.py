@@ -7,11 +7,13 @@ check against them.  The Gaussian-pair integral is kept here unfactored
 (``_pair_exponent``), the reference for the package's separable pair
 form, and so is the closed-form Wigner function of any packet state as
 one such exponent per pair, the reference for the factors the package
-contracts.  The direct Gauss-Hermite node sum is kept here as the
-reference for the factored sum the package evaluates, scipy's
-Nelder-Mead simplex as the reference for the Kerr angle polish, and the
-loop scans of the zero-lattice detector and of the orthogonality
-search's dip picker as the references for their array masks.  The
+contracts.  The plain node sum of any quadrature rule is kept here as
+the reference for the factored sum the package evaluates, and the
+quadrature of the evaluated wave packets (with the wave function itself)
+as the independent reference for the uniform rules.  scipy's Nelder-Mead
+simplex is the reference for the Kerr angle polish, and the loop scans
+of the zero-lattice detector and of the orthogonality search's dip
+picker are the references for their array masks.  The
 per-value ``repr`` CSV writer is the reference for the package's
 shortest-digit kernel.  The FFT
 autocorrelation of a sampled field is the independent route to the
@@ -58,7 +60,7 @@ from subplanck.states import (
     _branches,
     _husimi_seeds,
 )
-from subplanck.wigner import _pair_quadratic
+from subplanck.wigner import _TAIL_SIGMAS, _pair_quadratic
 
 
 def _pair_exponent(a, b, dx, dp, hbar: float):
@@ -199,28 +201,94 @@ def kerr_polish_nelder_mead(state: FockVector, radius: float, samples: int = 288
     return seeds.size, min(infidelity(seeds), float(result.fun))
 
 
-def pair_integral_hermite_direct(
+def pair_integral_direct(
     cj: GaussianComponent,
     ck: GaussianComponent,
     xs: np.ndarray,
     ps: np.ndarray,
     hbar: float,
-    order: int,
+    rule_nodes,
 ) -> np.ndarray:
-    """Gauss-Hermite pair integral as the plain node sum.
+    """Pair integral as the plain node sum of any rule.
 
-    Samples the tone ``exp(i y omega(p))`` at every node
-    ``y = mu(x) + t / sqrt(A)`` for every ``(x, p)``, an
-    ``(nx, order, np)`` array, and contracts it with the weights.
+    ``rule_nodes(A, omega_max)`` returns nodes ``t`` and weights ``w`` for
+    ``int exp(-A t^2) f(t) dt``.  Samples the tone ``exp(i y omega(p))``
+    at every node ``y = mu(x) + t`` for every ``(x, p)``, an
+    ``(nx, nodes, np)`` array, and contracts it with the weights.
     """
-    t, w = roots_hermite(order)
     a_y, mu, d = _pair_quadratic(cj, ck, xs, hbar)
-    ys = mu[:, None] + t[None, :] / math.sqrt(a_y)  # (nx, order)
     qbar = 0.5 * (cj.p0 + ck.p0)
     omega = (ps - qbar) / hbar  # (np,)
-    phase = np.exp(1j * ys[:, :, None] * omega[None, None, :])  # (nx, order, np)
-    amp = np.exp(d) / math.sqrt(a_y)  # (nx,)
-    return amp[:, None] * np.einsum("t,xtp->xp", w, phase)
+    t, w = rule_nodes(a_y, float(np.max(np.abs(omega))))
+    ys = mu[:, None] + t[None, :]  # (nx, nodes)
+    phase = np.exp(1j * ys[:, :, None] * omega[None, None, :])  # (nx, nodes, np)
+    return np.exp(d)[:, None] * np.einsum("t,xtp->xp", w, phase)
+
+
+def hermite_rule(order: int):
+    """scipy's Gauss-Hermite rule of ``order`` scaled to ``exp(-A t^2)``,
+    for :func:`pair_integral_direct`."""
+    t, w = roots_hermite(order)
+    return lambda a_y, _: (t / math.sqrt(a_y), w / math.sqrt(a_y))
+
+
+def pair_integral_uniform(
+    cj: GaussianComponent,
+    ck: GaussianComponent,
+    xs: np.ndarray,
+    ps: np.ndarray,
+    units: UnitSystem,
+    rule: str,
+) -> np.ndarray:
+    """``I_jk(x, p) = int phi_j(x - y/2) phi_k*(x + y/2) e^{i p y/hbar} dy``
+    on the outer grid ``xs x ps``, by direct quadrature of the evaluated
+    packets: the reference for the package's factored node sum
+    :func:`subplanck.wigner._pair_integral` of the uniform rules.
+
+    The integrand is a Gaussian of width ``s`` in ``y`` times a tone of
+    angular frequency ``(p - (p0_j + p0_k)/2) / hbar``; a uniform step
+    ``h = 2 pi / (omega_max + tail/s)`` keeps the aliasing error of the
+    trapezoid sum at the level of the Gaussian tail itself.
+    """
+    hbar = units.hbar
+    a_y, mus, _ = _pair_quadratic(cj, ck, xs, hbar)
+    s = 1 / math.sqrt(2 * a_y)
+    lo = float(mus.min()) - _TAIL_SIGMAS * s
+    hi = float(mus.max()) + _TAIL_SIGMAS * s
+    qbar = 0.5 * (cj.p0 + ck.p0)
+    omega_max = float(np.max(np.abs(ps - qbar))) / hbar
+    h = 2 * math.pi / (omega_max + _TAIL_SIGMAS / s)
+    if rule == "simpson":
+        # Composite Simpson mixes trapezoid sums at step h and 2h, so the
+        # anti-aliasing step criterion must hold for the doubled step too.
+        h /= 2
+    ny = max(int(math.ceil((hi - lo) / h)) + 1, 16)
+    if rule == "simpson" and ny % 2 == 0:
+        ny += 1
+    ys = np.linspace(lo, hi, ny)
+    w = _uniform_weights(rule, ny, ys[1] - ys[0])
+
+    def packet(c: GaussianComponent, u: np.ndarray) -> np.ndarray:
+        return psi_eval(CatSpec(components=(c,), coefficients=(1.0,), norm=1.0), u, units)
+
+    kern = packet(cj, xs[:, None] - ys[None, :] / 2) * np.conj(packet(ck, xs[:, None] + ys[None, :] / 2))
+    tone = w[:, None] * np.exp(1j * np.outer(ys, ps) / hbar)
+    return kern @ tone
+
+
+def psi_eval(spec: CatSpec, x: np.ndarray, units: UnitSystem = UnitSystem()) -> np.ndarray:
+    """Evaluate the wave function of a :class:`CatSpec` on ``x``.
+
+    Returns
+    -------
+    numpy.ndarray of complex, same shape as ``x``.
+    """
+    v = spec._packets
+    u = np.asarray(x, dtype=float)[..., None]
+    phi = (2 * math.pi * v.sigma**2) ** -0.25 * np.exp(
+        -((u - v.x0) ** 2) / (4 * v.sigma**2) + 1j * (v.p0 * u / units.hbar + v.phase)
+    )
+    return phi @ v.coef
 
 
 def wigner_closed_direct(state: CatSpec | MixedSpec, x, p, units: UnitSystem = UnitSystem()):

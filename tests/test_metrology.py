@@ -10,7 +10,7 @@ import pytest
 from conftest import P0, SIGMA, X0
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import default_scan_grid, first_dip_loop, overlap_map
+from oracles import default_scan_grid, first_dip_loop, overlap_map, psi_eval
 
 from subplanck.cli import main
 from subplanck.core import UnitSystem
@@ -30,7 +30,6 @@ from subplanck.states import (
     make_cat_position,
     make_compass,
     make_mixed,
-    psi_eval,
 )
 from subplanck.wigner import wigner_closed
 

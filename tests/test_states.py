@@ -21,7 +21,6 @@ from subplanck import (
     make_cat_position,
     make_compass,
     make_mixed,
-    psi_eval,
     state_to_json,
 )
 from subplanck.states import (
@@ -34,7 +33,7 @@ from subplanck.states import (
 )
 
 from conftest import P0, SIGMA, X0
-from oracles import _pair_exponent, component_overlap, kerr_polish_nelder_mead, state_from_json
+from oracles import _pair_exponent, component_overlap, kerr_polish_nelder_mead, psi_eval, state_from_json
 
 
 def wavefunction_norm(spec, units, x_half=40.0, n=16001):

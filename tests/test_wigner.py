@@ -1,6 +1,7 @@
 """Tests for the analytic and quadrature Wigner-function routes."""
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -12,7 +13,10 @@ from oracles import (
     char_cat_momentum,
     char_cat_position,
     characteristic_of_cat,
-    pair_integral_hermite_direct,
+    hermite_rule,
+    pair_integral_direct,
+    pair_integral_uniform,
+    psi_eval,
     wc1_closed,
     wc2_closed,
     wigner_closed_direct,
@@ -32,12 +36,12 @@ from subplanck.states import (
     make_cat_position,
     make_compass,
     make_mixed,
-    psi_eval,
 )
 from subplanck.wigner import (
     CoverageError,
     _hermite_nodes,
-    _pair_integral_hermite,
+    _pair_integral,
+    _rule_nodes,
     _pair_table,
     check_coverage,
     wigner_closed,
@@ -361,17 +365,36 @@ class TestGeneralPackets:
         assert np.max(np.abs(got - want)) < 1e-10
 
 
+RULES = ("trapezoid", "simpson", "gauss-hermite")
+
+
 @SEEDED
-@given(st.data(), st.floats(0.4, 0.9), st.integers(16, 400))
-def test_hermite_node_sum_factors(data, hbar, order):
-    """The factored Gauss-Hermite sum equals the plain node sum over the
-    ``(nx, order, np)`` tone array."""
+@given(st.data(), st.floats(0.4, 0.9), st.sampled_from(RULES), st.integers(16, 400))
+def test_hermite_node_sum_factors(data, hbar, rule, order):
+    """The factored node sum of every rule equals the plain node sum over
+    the ``(nx, nodes, np)`` tone array; Gauss-Hermite's plain sum takes
+    scipy's nodes."""
     cj, ck = draw_packet(data.draw), draw_packet(data.draw)
     xs = np.linspace(-4.0, 4.0, 9)
     ps = np.linspace(-6.0, 6.0, 11)
-    got = _pair_integral_hermite(cj, ck, xs, ps, hbar, roots_hermite(order))
-    want = pair_integral_hermite_direct(cj, ck, xs, ps, hbar, order)
+    quadrature = Quadrature(rule=rule, order=order)
+    got = _pair_integral(cj, ck, xs, ps, hbar, quadrature)
+    nodes = hermite_rule(order) if rule == "gauss-hermite" else functools.partial(_rule_nodes, quadrature)
+    want = pair_integral_direct(cj, ck, xs, ps, hbar, nodes)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data(), st.floats(0.4, 1.5), st.sampled_from(("trapezoid", "simpson")))
+def test_uniform_node_sum_matches_evaluated_packets(data, hbar, rule):
+    """The uniform rules' node sum about each chord centre agrees with the
+    same rule on the evaluated packets over one shared chord grid."""
+    cj, ck = draw_packet(data.draw), draw_packet(data.draw)
+    xs = np.linspace(-4.0, 4.0, 17)
+    ps = np.linspace(-6.0, 6.0, 13)
+    got = _pair_integral(cj, ck, xs, ps, hbar, Quadrature(rule=rule))
+    want = pair_integral_uniform(cj, ck, xs, ps, UnitSystem(hbar), rule)
+    assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
 
 WIDTHS = (0.3, 0.45, 0.6, 0.8, 1.0)
