@@ -106,15 +106,16 @@ def _rule_nodes(
         root = math.sqrt(a_y)
         return t / root, w / root
     s = 1 / math.sqrt(2 * a_y)
+    half = _TAIL_SIGMAS * s
     h = 2 * math.pi / (omega_max + _TAIL_SIGMAS / s)
     if quadrature.rule == "simpson":
         # Composite Simpson mixes trapezoid sums at step h and 2h, so the
         # anti-aliasing step criterion must hold for the doubled step too.
         h /= 2
-    n = max(int(math.ceil(2 * _TAIL_SIGMAS * s / h)) + 1, 16)
+    n = max(int(math.ceil(2 * half / h)) + 1, 16)
     if quadrature.rule == "simpson" and n % 2 == 0:
         n += 1
-    t = np.linspace(-_TAIL_SIGMAS * s, _TAIL_SIGMAS * s, n)
+    t = np.linspace(-half, half, n)
     return t, _uniform_weights(quadrature.rule, n, t[1] - t[0]) * np.exp(-a_y * t**2)
 
 

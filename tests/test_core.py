@@ -156,8 +156,9 @@ class TestWriters:
     def test_write_text_atomic_overwrites(self, tmp_path):
         path = tmp_path / "t.txt"
         write_text_atomic(str(path), "one")
-        write_text_atomic(str(path), "two")
-        assert path.read_text() == "two"
+        text = "x,p,w\n-0.0,1e-05,5e-324\n\u03c0\n"
+        write_text_atomic(str(path), text)
+        assert path.read_bytes() == text.encode("utf-8")
 
     def test_write_text_atomic_failure_leaves_target(self, tmp_path):
         path = tmp_path / "t.txt"

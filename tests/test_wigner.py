@@ -41,8 +41,8 @@ from subplanck.wigner import (
     CoverageError,
     _hermite_nodes,
     _pair_integral,
-    _rule_nodes,
     _pair_table,
+    _rule_nodes,
     check_coverage,
     wigner_closed,
     wigner_closed_eval,
@@ -365,11 +365,9 @@ class TestGeneralPackets:
         assert np.max(np.abs(got - want)) < 1e-10
 
 
-RULES = ("trapezoid", "simpson", "gauss-hermite")
-
-
 @SEEDED
-@given(st.data(), st.floats(0.4, 0.9), st.sampled_from(RULES), st.integers(16, 400))
+@given(st.data(), st.floats(0.4, 0.9), st.sampled_from(("trapezoid", "simpson", "gauss-hermite")),
+       st.integers(16, 400))
 def test_hermite_node_sum_factors(data, hbar, rule, order):
     """The factored node sum of every rule equals the plain node sum over
     the ``(nx, nodes, np)`` tone array; Gauss-Hermite's plain sum takes
