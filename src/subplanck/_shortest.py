@@ -75,9 +75,10 @@ def _tables() -> tuple[np.ndarray, ...]:
         g1.append((g + 1) >> 63)
         g0.append((g + 1) & _M63)
     g1, g0 = np.array(g1, np.uint64), np.array(g0, np.uint64)
-    text = [b"%04d" % i for i in range(10_000)]
-    digits4 = np.frombuffer(b"".join(text), np.uint32)
-    zeros4 = np.array([4 - len(t.rstrip(b"0")) for t in text], np.intp)
+    i = np.arange(10_000, dtype=np.uint16)
+    quad = np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], axis=1).astype(np.uint8)
+    digits4 = (quad + ord("0")).view(np.uint32).ravel()
+    zeros4 = sum(i % 10**e == 0 for e in range(1, 5)).astype(np.intp)
     col = np.arange(32)
     point, whole, neg = (a.reshape(-1, 1) for a in np.indices((_MANTISSA, 18, 2)))
     before = (point - whole <= col) & (col < point)

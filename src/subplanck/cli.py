@@ -47,8 +47,8 @@ from subplanck.core import (
     field_summary,
     field_to_csv,
     linspace_grid,
+    table_to_csv,
     write_json,
-    write_text_atomic,
 )
 from subplanck.decoherence import (
     BathParams,
@@ -117,92 +117,99 @@ def _build_state(name: str, x0: float, p0: float, sigma: float, units: UnitSyste
     raise ConfigError(f"unknown state {name!r}")
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    common = _Parser(add_help=False)
-    common.add_argument("--config", type=str, default=None, help="JSON file with option defaults")
-    common.add_argument("--out", type=str, default=".", help="output directory")
-    common.add_argument("--hbar", type=float, default=1.0, help="value of hbar")
-    common.add_argument(
-        "--threads", type=int, default=1, help="accepted for compatibility; has no effect"
-    )
-    common.add_argument(
-        "--format", choices=("csv", "json", "both"), default="both", help="artifact formats"
-    )
+# Options of every subcommand, after -h: (flag, add_argument keywords)
+# in the order of the help text.
+_COMMON = (
+    ("--config", dict(type=str, default=None, help="JSON file with option defaults")),
+    ("--out", dict(type=str, default=".", help="output directory")),
+    ("--hbar", dict(type=float, default=1.0, help="value of hbar")),
+    ("--threads", dict(type=int, default=1, help="accepted for compatibility; has no effect")),
+    ("--format", dict(choices=("csv", "json", "both"), default="both", help="artifact formats")),
+)
+_PACKETS = (
+    ("--x0", dict(type=float, default=4.5)),
+    ("--p0", dict(type=float, default=10.0)),
+    ("--sigma", dict(type=float, default=0.5)),
+)
+_TWO_STATES = (("--state", dict(choices=("mixed", "compass"), default="mixed")), *_PACKETS)
+# subcommand: (help, options after the common ones)
+_OPTIONS = {
+    "wigner": ("sample a Wigner function", (
+        ("--state", dict(choices=_STATE_CHOICES, default="mixed")),
+        *_PACKETS,
+        ("--x-half", dict(type=float, default=None, help="window half-width in x")),
+        ("--p-half", dict(type=float, default=None, help="window half-width in p")),
+        ("--nx", dict(type=int, default=201)),
+        ("--np", dict(type=int, default=201, dest="np_")),
+        ("--method", dict(choices=("closed", "integral"), default="closed")),
+        ("--rule", dict(choices=("trapezoid", "simpson", "gauss-hermite"), default="trapezoid")),
+        ("--order", dict(type=int, default=64, help="Gauss-Hermite order, 16 to 1024")),
+    )),
+    "tiles": ("measure interference tiles", (
+        *_TWO_STATES,
+        ("--window-x", dict(type=float, default=None, help="half-width of the scan (default x0/2)")),
+        ("--window-p", dict(type=float, default=None, help="half-width of the scan (default p0/2)")),
+        ("--nx", dict(type=int, default=257)),
+        ("--np", dict(type=int, default=257, dest="np_")),
+        ("--threshold", dict(type=float, default=1e-3, help="relative touch depth")),
+        ("--kmax", dict(type=int, default=3)),
+        ("--mmax", dict(type=int, default=3)),
+    )),
+    "sensitivity": ("displacement overlap scan", (
+        *_TWO_STATES,
+        ("--d1-max", dict(type=float, default=None, help="scan extent (default 1.5 pi hbar/x0)")),
+        ("--d2-max", dict(type=float, default=None, help="scan extent (default 1.5 pi hbar/p0)")),
+        ("--n1", dict(type=int, default=25)),
+        ("--n2", dict(type=int, default=25)),
+        ("--tol", dict(type=float, default=0.02, help="orthogonality threshold")),
+        ("--n-scan", dict(type=int, default=601, help="search scan samples")),
+        ("--no-search", dict(action="store_true", help="skip the orthogonality search")),
+    )),
+    "decohere": ("bath attenuation of interference", (
+        ("--kind", dict(choices=("position", "momentum"), default="position")),
+        ("--offset", dict(type=float, default=None, help="packet offset (default 4.5 / 10.0)")),
+        ("--sigma", dict(type=float, default=0.5)),
+        ("--mass", dict(type=float, default=1.0)),
+        ("--gamma", dict(type=float, default=0.1)),
+        ("--temperature", dict(type=float, default=10.0)),
+        ("--t-max", dict(type=float, default=None, help="curve extent (default 4x crossing)")),
+        ("--nt", dict(type=int, default=81)),
+    )),
+    "kerr": ("Kerr evolution component count", (
+        ("--alpha-re", dict(type=float, default=3.0)),
+        ("--alpha-im", dict(type=float, default=0.0)),
+        ("--kappa-t", dict(type=float, default=math.pi / 2)),
+        ("--cutoff", dict(type=int, default=None)),
+        ("--radius", dict(type=float, default=None, help="Husimi scan radius (default |alpha|)")),
+        ("--samples", dict(type=int, default=2880)),
+    )),
+    "compare": ("mixed vs compass sensitivity", (
+        *_PACKETS,
+        ("--tol", dict(type=float, default=0.02)),
+        ("--n-scan", dict(type=int, default=601)),
+    )),
+}
 
+
+def _build_parser(
+    command: str | None = None,
+) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subparsers by name: only ``command``'s,
+    or all six when ``command`` is None.
+
+    A subcommand parses and reports errors alike whichever others are
+    built; only the top-level help and an unknown or missing command need
+    them all.  The parser is built afresh for every call, as
+    :func:`_apply_config` sets a call's config values as its defaults.
+    """
     parser = _Parser(prog="subplanck", description="Phase-space interference analysis tools")
     sub = parser.add_subparsers(dest="command", required=True)
     registry: dict[str, argparse.ArgumentParser] = {}
-
-    w = sub.add_parser("wigner", parents=[common], help="sample a Wigner function")
-    w.add_argument("--state", choices=_STATE_CHOICES, default="mixed")
-    w.add_argument("--x0", type=float, default=4.5)
-    w.add_argument("--p0", type=float, default=10.0)
-    w.add_argument("--sigma", type=float, default=0.5)
-    w.add_argument("--x-half", type=float, default=None, help="window half-width in x")
-    w.add_argument("--p-half", type=float, default=None, help="window half-width in p")
-    w.add_argument("--nx", type=int, default=201)
-    w.add_argument("--np", type=int, default=201, dest="np_")
-    w.add_argument("--method", choices=("closed", "integral"), default="closed")
-    w.add_argument("--rule", choices=("trapezoid", "simpson", "gauss-hermite"), default="trapezoid")
-    w.add_argument("--order", type=int, default=64, help="Gauss-Hermite order, 16 to 1024")
-    registry["wigner"] = w
-
-    t = sub.add_parser("tiles", parents=[common], help="measure interference tiles")
-    t.add_argument("--state", choices=("mixed", "compass"), default="mixed")
-    t.add_argument("--x0", type=float, default=4.5)
-    t.add_argument("--p0", type=float, default=10.0)
-    t.add_argument("--sigma", type=float, default=0.5)
-    t.add_argument("--window-x", type=float, default=None, help="half-width of the scan (default x0/2)")
-    t.add_argument("--window-p", type=float, default=None, help="half-width of the scan (default p0/2)")
-    t.add_argument("--nx", type=int, default=257)
-    t.add_argument("--np", type=int, default=257, dest="np_")
-    t.add_argument("--threshold", type=float, default=1e-3, help="relative touch depth")
-    t.add_argument("--kmax", type=int, default=3)
-    t.add_argument("--mmax", type=int, default=3)
-    registry["tiles"] = t
-
-    s = sub.add_parser("sensitivity", parents=[common], help="displacement overlap scan")
-    s.add_argument("--state", choices=("mixed", "compass"), default="mixed")
-    s.add_argument("--x0", type=float, default=4.5)
-    s.add_argument("--p0", type=float, default=10.0)
-    s.add_argument("--sigma", type=float, default=0.5)
-    s.add_argument("--d1-max", type=float, default=None, help="scan extent (default 1.5 pi hbar/x0)")
-    s.add_argument("--d2-max", type=float, default=None, help="scan extent (default 1.5 pi hbar/p0)")
-    s.add_argument("--n1", type=int, default=25)
-    s.add_argument("--n2", type=int, default=25)
-    s.add_argument("--tol", type=float, default=0.02, help="orthogonality threshold")
-    s.add_argument("--n-scan", type=int, default=601, help="search scan samples")
-    s.add_argument("--no-search", action="store_true", help="skip the orthogonality search")
-    registry["sensitivity"] = s
-
-    d = sub.add_parser("decohere", parents=[common], help="bath attenuation of interference")
-    d.add_argument("--kind", choices=("position", "momentum"), default="position")
-    d.add_argument("--offset", type=float, default=None, help="packet offset (default 4.5 / 10.0)")
-    d.add_argument("--sigma", type=float, default=0.5)
-    d.add_argument("--mass", type=float, default=1.0)
-    d.add_argument("--gamma", type=float, default=0.1)
-    d.add_argument("--temperature", type=float, default=10.0)
-    d.add_argument("--t-max", type=float, default=None, help="curve extent (default 4x crossing)")
-    d.add_argument("--nt", type=int, default=81)
-    registry["decohere"] = d
-
-    k = sub.add_parser("kerr", parents=[common], help="Kerr evolution component count")
-    k.add_argument("--alpha-re", type=float, default=3.0)
-    k.add_argument("--alpha-im", type=float, default=0.0)
-    k.add_argument("--kappa-t", type=float, default=math.pi / 2)
-    k.add_argument("--cutoff", type=int, default=None)
-    k.add_argument("--radius", type=float, default=None, help="Husimi scan radius (default |alpha|)")
-    k.add_argument("--samples", type=int, default=2880)
-    registry["kerr"] = k
-
-    c = sub.add_parser("compare", parents=[common], help="mixed vs compass sensitivity")
-    c.add_argument("--x0", type=float, default=4.5)
-    c.add_argument("--p0", type=float, default=10.0)
-    c.add_argument("--sigma", type=float, default=0.5)
-    c.add_argument("--tol", type=float, default=0.02)
-    c.add_argument("--n-scan", type=int, default=601)
-    registry["compare"] = c
-
+    for name, (summary, options) in _OPTIONS.items():
+        if command in (None, name):
+            registry[name] = sub.add_parser(name, help=summary)
+            for flag, kwargs in (*_COMMON, *options):
+                registry[name].add_argument(flag, **kwargs)
     return parser, registry
 
 
@@ -288,28 +295,13 @@ def _require_bounds(args: argparse.Namespace, positive=(), non_negative=()) -> N
                 raise ConfigError(f"--{dest.replace('_', '-')} must be {rule}, got {value}")
 
 
-def _rows_to_csv(header: list[str], rows: list[tuple]) -> str:
-    def cell(v) -> str:
-        if v is None:
-            return ""
-        if isinstance(v, float):
-            return _format_float(v)
-        return str(v)
-
-    lines = [",".join(header)]
-    lines.extend(",".join(cell(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _write_outputs(args, name: str, payload: dict, csv_text: str | None = None, csv_writer=None) -> None:
+def _write_outputs(args, name: str, payload: dict, write_csv=None) -> None:
+    """Write ``payload`` as JSON and, unless ``--format json``, call
+    ``write_csv(path)`` for the CSV, if the command writes one."""
     os.makedirs(args.out, exist_ok=True)
     write_json(payload, os.path.join(args.out, f"{name}.json"))
-    if args.format in ("csv", "both"):
-        path = os.path.join(args.out, f"{name}.csv")
-        if csv_writer is not None:
-            csv_writer(path)
-        elif csv_text is not None:
-            write_text_atomic(path, csv_text)
+    if write_csv is not None and args.format in ("csv", "both"):
+        write_csv(os.path.join(args.out, f"{name}.csv"))
 
 
 def _params_echo(args, keys: list[str]) -> dict:
@@ -342,7 +334,7 @@ def _cmd_wigner(args, units: UnitSystem) -> None:
         "state": state_to_json(state),
         "summary": field_summary(field),
     }
-    _write_outputs(args, "wigner", payload, csv_writer=lambda path: field_to_csv(field, path))
+    _write_outputs(args, "wigner", payload, lambda path: field_to_csv(field, path))
 
 
 def _cmd_tiles(args, units: UnitSystem) -> None:
@@ -381,7 +373,9 @@ def _cmd_tiles(args, units: UnitSystem) -> None:
         rows.append(("x_touch", 0, lattice.x_touch_first))
     if lattice.p_touch_first is not None:
         rows.append(("p_touch", 0, lattice.p_touch_first))
-    _write_outputs(args, "tiles", payload, _rows_to_csv(["family", "index", "position"], rows))
+    columns = list(zip(*rows))
+    _write_outputs(args, "tiles", payload,
+                   lambda path: table_to_csv(["family", "index", "position"], columns, path))
 
 
 def _search(state, args, units: UnitSystem) -> SensitivityResult:
@@ -406,10 +400,10 @@ def _cmd_sensitivity(args, units: UnitSystem) -> None:
     )
     numeric = overlap_closed(state, d1s, d2s, units)
     if args.state == "mixed":
-        reference = overlap_reference(d1s, d2s, args.x0, args.p0, args.sigma, units).ravel().tolist()
+        reference = overlap_reference(d1s, d2s, args.x0, args.p0, args.sigma, units).ravel()
     else:
-        reference = [None] * d1s.size
-    rows = list(zip(d1s.ravel().tolist(), d2s.ravel().tolist(), numeric.ravel().tolist(), reference))
+        reference = None
+    columns = [d1s.ravel(), d2s.ravel(), numeric.ravel(), reference]
     payload: dict = {
         "params": _params_echo(
             args,
@@ -417,17 +411,13 @@ def _cmd_sensitivity(args, units: UnitSystem) -> None:
         ),
         # the map's first row is the zero displacement: one evaluation
         # gives both, so they agree bit for bit
-        "overlap_at_zero": rows[0][2],
+        "overlap_at_zero": float(numeric.flat[0]),
         "scan": {"d1_max": d1_max, "d2_max": d2_max},
     }
     if not args.no_search:
         payload["orthogonality"] = dataclasses.asdict(_search(state, args, units))
-    _write_outputs(
-        args,
-        "sensitivity",
-        payload,
-        _rows_to_csv(["delta1", "delta2", "overlap_numeric", "overlap_reference"], rows),
-    )
+    header = ["delta1", "delta2", "overlap_numeric", "overlap_reference"]
+    _write_outputs(args, "sensitivity", payload, lambda path: table_to_csv(header, columns, path))
 
 
 def _cmd_decohere(args, units: UnitSystem) -> None:
@@ -441,7 +431,7 @@ def _cmd_decohere(args, units: UnitSystem) -> None:
         )
     t_max = args.t_max if args.t_max is not None else 4 * taus["threshold_1.0"]
     times = np.linspace(0.0, t_max, args.nt)
-    rows = attenuation_curve(bath, offset, args.sigma, times, units, kind=args.kind)
+    columns = list(zip(*attenuation_curve(bath, offset, args.sigma, times, units, kind=args.kind)))
     if args.kind == "position":
         tau_linear = tau_formula_position(bath, offset, units)
     else:
@@ -454,7 +444,8 @@ def _cmd_decohere(args, units: UnitSystem) -> None:
         "decoherence_times": taus,
         "tau_linear_estimate": tau_linear,
     }
-    _write_outputs(args, "decohere", payload, _rows_to_csv(["t", "attenuation", "visibility"], rows))
+    _write_outputs(args, "decohere", payload,
+                   lambda path: table_to_csv(["t", "attenuation", "visibility"], columns, path))
 
 
 def _cmd_kerr(args, units: UnitSystem) -> None:
@@ -470,7 +461,7 @@ def _cmd_kerr(args, units: UnitSystem) -> None:
         "component_count": count,
         "norm": float(np.linalg.norm(state.amplitudes)),
     }
-    _write_outputs(args, "kerr", payload, None)
+    _write_outputs(args, "kerr", payload)
 
 
 def _cmd_compare(args, units: UnitSystem) -> None:
@@ -485,7 +476,7 @@ def _cmd_compare(args, units: UnitSystem) -> None:
         "compass": dataclasses.asdict(compass),
         "product_ratio": mixed.product / compass.product,
     }
-    _write_outputs(args, "compare", payload, None)
+    _write_outputs(args, "compare", payload)
 
 
 _COMMANDS = {
@@ -518,7 +509,7 @@ def _fail(exc: Exception) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, registry = _build_parser()
+    parser, registry = _build_parser(argv[0] if argv and argv[0] in _OPTIONS else None)
     try:
         args = parser.parse_args(argv)
         if args.config is not None:

@@ -442,6 +442,24 @@ def _malloc_trim():
     return trim
 
 
+def _csv_lines(cells: list[np.ndarray], shape: tuple[int, ...]) -> bytes:
+    """Lines of comma-separated cells, one per index of ``shape``.
+
+    Each cell is a uint8 matrix of text columns (:func:`repr_bytes`'
+    rows, or ``numpy.bytes_`` viewed as bytes) that broadcasts against
+    ``shape``, with zero bytes wherever it holds no text.  The lines are
+    laid out as one padded byte matrix and the zero bytes dropped.
+    """
+    width = sum(cell.shape[-1] + 1 for cell in cells)
+    block = np.empty((*shape, width), np.uint8)
+    end = 0
+    for cell in cells:
+        start, end = end, end + cell.shape[-1] + 1
+        block[..., start : end - 1] = cell
+        block[..., end - 1] = ord(",") if end < width else ord("\n")
+    return block.tobytes().translate(None, b"\0")
+
+
 def field_to_csv(field: WignerField, path: str) -> None:
     """Write a sampled field as ``x,p,w`` rows (x-major order).
 
@@ -457,19 +475,12 @@ def field_to_csv(field: WignerField, path: str) -> None:
     xs, ps = repr_bytes(field.grid.xs()), repr_bytes(field.grid.ps())
     nx, np_ = field.values.shape
     rows = max(1, _CSV_BLOCK // np_)
-    wx, wp = xs.shape[1], ps.shape[1]
     with _atomic_file(path) as fh:
         fh.write(b"x,p,w\n")
         for i in range(0, nx, rows):
             w = repr_bytes(field.values[i : i + rows].ravel())
-            block = np.empty((len(w) // np_, np_, wx + wp + w.shape[1] + 3), np.uint8)
-            block[:, :, :wx] = xs[i : i + rows, None]
-            block[:, :, wx] = ord(",")
-            block[:, :, wx + 1 : wx + 1 + wp] = ps
-            block[:, :, wx + 1 + wp] = ord(",")
-            block[:, :, wx + 2 + wp : -1] = w.reshape(-1, np_, w.shape[1])
-            block[:, :, -1] = ord("\n")
-            fh.write(block.tobytes().translate(None, b"\0"))
+            n = len(w) // np_
+            fh.write(_csv_lines([xs[i : i + rows, None], ps, w.reshape(n, np_, -1)], (n, np_)))
         size = fh.tell()
     # glibc keeps freed pages resident: the top of the heap up to twice
     # its adaptive mmap threshold, and every hole below a live block.  In
@@ -479,6 +490,35 @@ def field_to_csv(field: WignerField, path: str) -> None:
     trim = _malloc_trim()
     if trim is not None and size >= _TRIM_BYTES:
         trim(0)
+
+
+def table_to_csv(header: list[str], columns: list, path: str) -> None:
+    """Write the columns of a table as CSV lines under ``header``.
+
+    A column of floats is written as ``repr`` of each value, like
+    :func:`field_to_csv`: the float cells of all columns are rendered by
+    one :func:`repr_bytes` call, so they must be finite.  A column of
+    ``None`` is written as empty cells, and any other sequence as the
+    ``str`` text of each value.  The tests hold the file byte for byte to
+    the per-cell writer ``tests/oracles.py::rows_to_csv``.
+    """
+    arrays = [None if c is None else np.asarray(c) for c in columns]
+    n = len(next(a for a in arrays if a is not None))
+    floats = [a for a in arrays if a is not None and a.dtype.kind == "f"]
+    text = repr_bytes(np.concatenate(floats)) if floats else None
+    cells = []
+    for a in arrays:
+        if a is None:
+            a = np.zeros((n, 0), np.uint8)
+        elif a.dtype.kind == "f":
+            a, text = text[:n], text[n:]
+        else:
+            a = a.astype("S")
+            a = a.view(np.uint8).reshape(n, a.itemsize)
+        cells.append(a)
+    with _atomic_file(path) as fh:
+        fh.write(bytes(",".join(header) + "\n", "utf-8"))
+        fh.write(_csv_lines(cells, (n,)))
 
 
 def field_summary(field: WignerField) -> dict:

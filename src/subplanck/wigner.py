@@ -59,11 +59,13 @@ def _pair_quadratic(
     Writes ``phi_j(x-y/2) phi_k*(x+y/2) = exp(-A (y-mu)^2 + D - i qbar y/hbar)``
     with ``qbar = (p0_j + p0_k)/2``; returns ``(A, mu(x), D(x))`` where
     ``D`` is complex.  ``1 / sqrt(2 A)`` is the Gaussian width in ``y``
-    and ``mu`` its centre, which place the quadrature nodes.
+    and ``mu`` its centre, which place the quadrature nodes.  ``mu`` is
+    linear in ``x``, written as slope and intercept so that equal widths,
+    whose slope is 0, give a ``mu`` that is exactly constant.
     """
     sj2, sk2 = cj.sigma**2, ck.sigma**2
     a_y = (sj2 + sk2) / (16 * sj2 * sk2)
-    lin = (x - cj.x0) / (4 * sj2) - (x - ck.x0) / (4 * sk2)
+    lin = (1 / (4 * sj2) - 1 / (4 * sk2)) * x + (ck.x0 / (4 * sk2) - cj.x0 / (4 * sj2))
     mu = lin / (2 * a_y)
     const = (
         -0.25 * math.log(4 * math.pi**2 * sj2 * sk2)
@@ -137,14 +139,18 @@ def _pair_integral(
     for Gauss-Hermite: evaluating it and dividing back out would
     overflow), and the node sum ``S(p) = sum_n w_n exp(i t_n omega(p))``
     does not depend on ``x``, so it is taken once per momentum: a pair costs
-    ``O(nodes * np + nx * np)``.  ``S`` is summed at the nodes, not
-    replaced by its limit, so the route stays an independent quadrature;
-    it runs in numpy's loops, not BLAS, whose threads change rounding.
+    ``O(nodes * np + nx * np)``.  So is the tone ``exp(i mu omega)`` when
+    ``mu`` is constant (equal widths, every pair of the reference states).
+    ``S`` is summed at the nodes, not replaced by its limit, so the route
+    stays an independent quadrature; it runs in numpy's loops, not BLAS,
+    whose threads change rounding.
     """
     a_y, mu, d = _pair_quadratic(cj, ck, xs, hbar)
     omega = (ps - 0.5 * (cj.p0 + ck.p0)) / hbar  # (np,)
     t, w = _rule_nodes(quadrature, a_y, float(np.max(np.abs(omega))))
     node_sum = np.einsum("pn,n->p", np.exp(1j * np.outer(omega, t)), w)  # (np,)
+    if (mu == mu[0]).all():
+        return np.exp(d)[:, None] * (np.exp(1j * mu[0] * omega) * node_sum)[None, :]
     return np.exp(d)[:, None] * np.exp(1j * np.outer(mu, omega)) * node_sum[None, :]
 
 

@@ -14,8 +14,10 @@ as the independent reference for the uniform rules.  scipy's Nelder-Mead
 simplex is the reference for the Kerr angle polish, and the loop scans
 of the zero-lattice detector and of the orthogonality search's dip
 picker are the references for their array masks.  The
-per-value ``repr`` CSV writer is the reference for the package's
-shortest-digit kernel.  The FFT
+per-value ``repr`` CSV writers are the references for the package's
+shortest-digit kernel and its table writer, and the command-line parser
+written out option by option for all six subcommands is the reference
+for the option table the CLI builds its parsers from.  The FFT
 autocorrelation of a sampled field is the independent route to the
 displacement overlap.
 
@@ -28,6 +30,7 @@ grid for the overlap oracle, and the inverse of
 :func:`subplanck.states.state_to_json`.
 """
 
+import argparse
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -37,10 +40,12 @@ from scipy.fft import irfft2, next_fast_len, rfft2
 from scipy.optimize import minimize, minimize_scalar
 from scipy.special import roots_hermite
 
+from subplanck.cli import _STATE_CHOICES, _Parser
 from subplanck.core import (
     PhaseSpaceGrid,
     UnitSystem,
     WignerField,
+    _format_float,
     _uniform_weights,
     write_text_atomic,
 )
@@ -733,3 +738,109 @@ def field_to_csv_repr(field: WignerField, path: str) -> None:
         head = f"{x!r},"
         lines.append("\n".join([f"{head}{p},{w!r}" for p, w in zip(p_text, row)]))
     write_text_atomic(path, "\n".join(lines) + "\n")
+
+
+def rows_to_csv(header: list[str], rows: list[tuple]) -> str:
+    """CSV text of ``rows`` under ``header``, one cell at a time: the
+    reference for :func:`subplanck.core.table_to_csv`."""
+    def cell(v) -> str:
+        if v is None:
+            return ""
+        if isinstance(v, float):
+            return _format_float(v)
+        return str(v)
+
+    lines = [",".join(header)]
+    lines.extend(",".join(cell(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def build_parser_reference() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The CLI's parser with all six subcommands, one ``add_argument``
+    call per option: the reference for ``subplanck.cli._build_parser``."""
+    common = _Parser(add_help=False)
+    common.add_argument("--config", type=str, default=None, help="JSON file with option defaults")
+    common.add_argument("--out", type=str, default=".", help="output directory")
+    common.add_argument("--hbar", type=float, default=1.0, help="value of hbar")
+    common.add_argument(
+        "--threads", type=int, default=1, help="accepted for compatibility; has no effect"
+    )
+    common.add_argument(
+        "--format", choices=("csv", "json", "both"), default="both", help="artifact formats"
+    )
+
+    parser = _Parser(prog="subplanck", description="Phase-space interference analysis tools")
+    sub = parser.add_subparsers(dest="command", required=True)
+    registry: dict[str, argparse.ArgumentParser] = {}
+
+    w = sub.add_parser("wigner", parents=[common], help="sample a Wigner function")
+    w.add_argument("--state", choices=_STATE_CHOICES, default="mixed")
+    w.add_argument("--x0", type=float, default=4.5)
+    w.add_argument("--p0", type=float, default=10.0)
+    w.add_argument("--sigma", type=float, default=0.5)
+    w.add_argument("--x-half", type=float, default=None, help="window half-width in x")
+    w.add_argument("--p-half", type=float, default=None, help="window half-width in p")
+    w.add_argument("--nx", type=int, default=201)
+    w.add_argument("--np", type=int, default=201, dest="np_")
+    w.add_argument("--method", choices=("closed", "integral"), default="closed")
+    w.add_argument("--rule", choices=("trapezoid", "simpson", "gauss-hermite"), default="trapezoid")
+    w.add_argument("--order", type=int, default=64, help="Gauss-Hermite order, 16 to 1024")
+    registry["wigner"] = w
+
+    t = sub.add_parser("tiles", parents=[common], help="measure interference tiles")
+    t.add_argument("--state", choices=("mixed", "compass"), default="mixed")
+    t.add_argument("--x0", type=float, default=4.5)
+    t.add_argument("--p0", type=float, default=10.0)
+    t.add_argument("--sigma", type=float, default=0.5)
+    t.add_argument("--window-x", type=float, default=None, help="half-width of the scan (default x0/2)")
+    t.add_argument("--window-p", type=float, default=None, help="half-width of the scan (default p0/2)")
+    t.add_argument("--nx", type=int, default=257)
+    t.add_argument("--np", type=int, default=257, dest="np_")
+    t.add_argument("--threshold", type=float, default=1e-3, help="relative touch depth")
+    t.add_argument("--kmax", type=int, default=3)
+    t.add_argument("--mmax", type=int, default=3)
+    registry["tiles"] = t
+
+    s = sub.add_parser("sensitivity", parents=[common], help="displacement overlap scan")
+    s.add_argument("--state", choices=("mixed", "compass"), default="mixed")
+    s.add_argument("--x0", type=float, default=4.5)
+    s.add_argument("--p0", type=float, default=10.0)
+    s.add_argument("--sigma", type=float, default=0.5)
+    s.add_argument("--d1-max", type=float, default=None, help="scan extent (default 1.5 pi hbar/x0)")
+    s.add_argument("--d2-max", type=float, default=None, help="scan extent (default 1.5 pi hbar/p0)")
+    s.add_argument("--n1", type=int, default=25)
+    s.add_argument("--n2", type=int, default=25)
+    s.add_argument("--tol", type=float, default=0.02, help="orthogonality threshold")
+    s.add_argument("--n-scan", type=int, default=601, help="search scan samples")
+    s.add_argument("--no-search", action="store_true", help="skip the orthogonality search")
+    registry["sensitivity"] = s
+
+    d = sub.add_parser("decohere", parents=[common], help="bath attenuation of interference")
+    d.add_argument("--kind", choices=("position", "momentum"), default="position")
+    d.add_argument("--offset", type=float, default=None, help="packet offset (default 4.5 / 10.0)")
+    d.add_argument("--sigma", type=float, default=0.5)
+    d.add_argument("--mass", type=float, default=1.0)
+    d.add_argument("--gamma", type=float, default=0.1)
+    d.add_argument("--temperature", type=float, default=10.0)
+    d.add_argument("--t-max", type=float, default=None, help="curve extent (default 4x crossing)")
+    d.add_argument("--nt", type=int, default=81)
+    registry["decohere"] = d
+
+    k = sub.add_parser("kerr", parents=[common], help="Kerr evolution component count")
+    k.add_argument("--alpha-re", type=float, default=3.0)
+    k.add_argument("--alpha-im", type=float, default=0.0)
+    k.add_argument("--kappa-t", type=float, default=math.pi / 2)
+    k.add_argument("--cutoff", type=int, default=None)
+    k.add_argument("--radius", type=float, default=None, help="Husimi scan radius (default |alpha|)")
+    k.add_argument("--samples", type=int, default=2880)
+    registry["kerr"] = k
+
+    c = sub.add_parser("compare", parents=[common], help="mixed vs compass sensitivity")
+    c.add_argument("--x0", type=float, default=4.5)
+    c.add_argument("--p0", type=float, default=10.0)
+    c.add_argument("--sigma", type=float, default=0.5)
+    c.add_argument("--tol", type=float, default=0.02)
+    c.add_argument("--n-scan", type=int, default=601)
+    registry["compare"] = c
+
+    return parser, registry

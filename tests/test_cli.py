@@ -7,6 +7,7 @@ layout and the CSV formats are all pinned here.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -21,12 +22,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import state_from_json, wigner_closed_direct
+from oracles import build_parser_reference, state_from_json, wigner_closed_direct
 
 import subplanck
 from conftest import P0, SIGMA, X0
-from subplanck.cli import main
-from subplanck.core import PhaseSpaceGrid, UnitSystem
+from subplanck.cli import ConfigError, _build_parser, main
+from subplanck.core import PhaseSpaceGrid, UnitSystem, table_to_csv
 
 
 def run_cli(out_dir, *argv: str) -> int:
@@ -465,6 +466,128 @@ class TestConfig:
         rc = run_cli(tmp_path, "decohere", "--threads", "0")
         assert rc == 2
         assert last_error(capsys)["kind"] == "ConfigError"
+
+    def test_config_defaults_do_not_outlive_their_call(self, tmp_path):
+        # a config value becomes a default of the call's subparser, so a
+        # parser kept across calls would carry it into the next one
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sigma": 0.4, "gamma": 0.2}))
+        assert run_cli(tmp_path / "a", "decohere", "--nt", "3", "--config", str(cfg)) == 0
+        assert run_cli(tmp_path / "b", "decohere", "--nt", "3") == 0
+        first, second = (read_json(tmp_path / run, "decohere")["params"] for run in "ab")
+        assert (first["sigma"], first["gamma"]) == (0.4, 0.2)
+        assert (second["sigma"], second["gamma"]) == (0.5, 0.1)
+
+
+COMMANDS = ("wigner", "tiles", "sensitivity", "decohere", "kerr", "compare")
+
+
+def _argv_tail(command: str):
+    """Seeded argument lists for ``command``: each of its options, spelt
+    in full or abbreviated, with a value of its type (or of another) as
+    the next word or after ``=``, and now and then a stray word or an
+    unknown flag."""
+    actions = [a for a in build_parser_reference()[1][command]._actions if a.dest != "help"]
+    words = sorted({str(c) for a in actions if a.choices for c in a.choices})
+    wrong = st.sampled_from([*words, "x", "-1", "-inf", "nan", "1e400", "--", "--bogus"])
+
+    def option(action):
+        name = st.sampled_from(action.option_strings).flatmap(
+            lambda flag: st.sampled_from([flag, flag[:3], flag[:4], flag[:6]]))
+        if action.nargs == 0:
+            return name.map(lambda flag: [flag])
+        if action.choices:
+            value = st.sampled_from([str(c) for c in action.choices])
+        elif action.type is int:
+            value = st.integers(-3, 300).map(str)
+        elif action.type is float:
+            value = st.floats(-1e3, 1e3).map(repr)
+        else:
+            value = st.text("abc/.", max_size=5)
+        value = st.one_of(value, value, value, wrong)
+        return st.one_of(st.tuples(name, value).map(list),
+                         st.builds("{}={}".format, name, value).map(lambda word: [word]))
+
+    token = st.one_of(*(option(a) for a in actions), wrong.map(lambda word: [word]))
+    return st.lists(token, max_size=6).map(lambda tokens: sum(tokens, []))
+
+
+_ARGV_TAILS = {command: _argv_tail(command) for command in COMMANDS}
+
+
+def parse_outcome(parser: argparse.ArgumentParser, argv: list[str]):
+    """The parsed options, the usage error, or the exit and its output."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return vars(parser.parse_args(argv))
+    except ConfigError as exc:
+        return f"error: {exc}"
+    except SystemExit as exc:
+        return f"exit {exc.code}: {out.getvalue()}"
+
+
+class TestParser:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(command=st.sampled_from(COMMANDS), data=st.data())
+    def test_one_command_parses_like_all_commands(self, command, data):
+        argv = [command, *data.draw(_ARGV_TAILS[command])]
+        want = parse_outcome(build_parser_reference()[0], argv)
+        assert parse_outcome(_build_parser(command)[0], argv) == want
+        assert parse_outcome(_build_parser()[0], argv) == want
+
+    @pytest.mark.parametrize("command", [None, *COMMANDS])
+    def test_help_text_is_unchanged(self, command, capsys):
+        ref, ref_registry = build_parser_reference()
+        want = (ref if command is None else ref_registry[command]).format_help()
+        parser, registry = _build_parser(command)
+        assert (parser if command is None else registry[command]).format_help() == want
+        if command is not None:
+            assert _build_parser()[1][command].format_help() == want
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"] if command is None else [command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == want
+
+    def test_a_call_builds_only_its_command(self, tmp_path, monkeypatch):
+        want = ["-h", *(a.option_strings[0] for a in build_parser_reference()[1]["decohere"]._actions)]
+        added = []
+        add_argument = argparse._ActionsContainer.add_argument
+
+        def counting(container, *args, **kwargs):
+            added.append(args[0])
+            return add_argument(container, *args, **kwargs)
+
+        monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
+        assert run_cli(tmp_path, "decohere", "--nt", "3") == 0
+        assert added == want  # the top-level -h, then decohere's 14 options
+
+
+@pytest.mark.parametrize("argv", [
+    ("tiles",),
+    ("tiles", "--state", "compass"),
+    ("sensitivity", "--n1", "3", "--n2", "3", "--no-search"),
+    ("sensitivity", "--state", "compass", "--n1", "3", "--n2", "3", "--no-search"),
+    ("decohere", "--nt", "5"),
+    ("decohere", "--kind", "momentum", "--nt", "5"),
+])
+def test_tables_are_written_under_trapped_floating_point_errors(tmp_path, monkeypatch, argv):
+    # table_to_csv renders floats with the shortest-digit kernel, which
+    # refuses nan and inf, where the per-cell repr wrote them.  Every table
+    # command computes its cells and writes them under main's
+    # np.errstate(over, divide, invalid = "raise"), so numpy ends the
+    # command with exit 3 at the first non-finite value it makes.
+    seen = []
+
+    def writer(header, columns, path):
+        seen.append(np.geterr())
+        table_to_csv(header, columns, path)
+
+    monkeypatch.setattr(subplanck.cli, "table_to_csv", writer)
+    assert run_cli(tmp_path, *argv) == 0
+    assert [{k: err[k] for k in ("over", "divide", "invalid")} for err in seen] == [
+        {"over": "raise", "divide": "raise", "invalid": "raise"}
+    ]
 
 
 class TestThreadDeterminism:

@@ -11,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import P0, X0, at_origin, meshgrid
-from oracles import field_to_csv_repr
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import field_to_csv_repr, rows_to_csv
 from scipy.optimize import brentq, minimize_scalar
 
 import subplanck
@@ -32,9 +34,40 @@ from subplanck.core import (
     brent_root,
     field_summary,
     field_to_csv,
+    table_to_csv,
     write_json,
     write_text_atomic,
 )
+
+
+# Table cells: any finite float, or one at or next to +-0, a subnormal,
+# the smallest normal, or repr's switches to scientific notation at 1e-4
+# and 1e16; tiles' family names and indices; or None, an empty cell.
+_EDGES = np.array([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-4, 1.0, 1e16])
+_NEAR_EDGES = np.concatenate([_EDGES, np.nextafter(_EDGES, 0), np.nextafter(_EDGES, np.inf)])
+_CELLS = {
+    "float": st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.builds(lambda v, negative: -v if negative else v,
+                  st.sampled_from(_NEAR_EDGES.tolist()), st.booleans()),
+    ),
+    "str": st.text("_abxyplinetouch0123", max_size=8),
+    "int": st.integers(-(2**63), 2**63 - 1),
+}
+
+
+@st.composite
+def tables(draw):
+    """``(header, columns)``: 0 to 40 rows, 1 to 5 columns of one kind
+    each, at least one of them not None; float columns come as lists or,
+    like the CLI's, as arrays."""
+    n = draw(st.integers(0, 40))
+    kinds = draw(st.lists(st.sampled_from([*_CELLS, "none"]), min_size=1, max_size=5)
+                 .filter(lambda kinds: set(kinds) != {"none"}))
+    columns = [None if kind == "none" else draw(st.lists(_CELLS[kind], min_size=n, max_size=n))
+               for kind in kinds]
+    columns = [np.array(c) if k == "float" and draw(st.booleans()) else c for k, c in zip(kinds, columns)]
+    return [f"c{i}" for i in range(len(kinds))], columns
 
 
 def gaussian_field(grid, sx=1.0, sp=1.0):
@@ -230,6 +263,17 @@ class TestWriters:
         field_to_csv(f, str(tmp_path / "f.csv"))
         field_to_csv_repr(f, str(tmp_path / "oracle.csv"))
         assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(tables())
+    def test_table_to_csv_matches_row_writer(self, tmp_path_factory, table):
+        header, columns = table
+        path = tmp_path_factory.mktemp("table") / "t.csv"
+        with np.errstate(all="raise"):
+            table_to_csv(header, columns, str(path))
+        n = len(next(c for c in columns if c is not None))
+        rows = list(zip(*([None] * n if c is None else list(c) for c in columns)))
+        assert path.read_bytes() == rows_to_csv(header, rows).encode("ascii")
 
     def test_field_to_csv_failure_leaves_no_file(self, tmp_path):
         f = gaussian_field(linspace_grid(1.0, 1.0, 3, 4))

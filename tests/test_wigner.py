@@ -1,6 +1,7 @@
 """Tests for the analytic and quadrature Wigner-function routes."""
 
 import cmath
+import dataclasses
 import functools
 import math
 
@@ -41,6 +42,7 @@ from subplanck.wigner import (
     CoverageError,
     _hermite_nodes,
     _pair_integral,
+    _pair_quadratic,
     _pair_table,
     _rule_nodes,
     check_coverage,
@@ -370,9 +372,12 @@ class TestGeneralPackets:
        st.integers(16, 400))
 def test_hermite_node_sum_factors(data, hbar, rule, order):
     """The factored node sum of every rule equals the plain node sum over
-    the ``(nx, nodes, np)`` tone array; Gauss-Hermite's plain sum takes
-    scipy's nodes."""
+    the ``(nx, nodes, np)`` tone array, for equal widths (one tone per
+    momentum) and unequal ones; Gauss-Hermite's plain sum takes scipy's
+    nodes."""
     cj, ck = draw_packet(data.draw), draw_packet(data.draw)
+    if data.draw(st.booleans()):
+        ck = dataclasses.replace(ck, sigma=cj.sigma)
     xs = np.linspace(-4.0, 4.0, 9)
     ps = np.linspace(-6.0, 6.0, 11)
     quadrature = Quadrature(rule=rule, order=order)
@@ -380,6 +385,16 @@ def test_hermite_node_sum_factors(data, hbar, rule, order):
     nodes = hermite_rule(order) if rule == "gauss-hermite" else functools.partial(_rule_nodes, quadrature)
     want = pair_integral_direct(cj, ck, xs, ps, hbar, nodes)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("x0j, x0k, sigma", [(-4.5, 4.5, 0.5), (0.0, 0.0, 0.5), (1.3, -2.7, 0.37)])
+def test_equal_widths_give_a_constant_chord_centre(x0j, x0k, sigma):
+    # mu(x) is then exactly constant, so _pair_integral takes the tone
+    # exp(i mu omega) once per momentum rather than at every (x, p)
+    cj = GaussianComponent(sigma=sigma, x0=x0j, p0=10.0)
+    ck = GaussianComponent(sigma=sigma, x0=x0k, p0=-10.0)
+    mu = _pair_quadratic(cj, ck, np.linspace(-9.0, 9.0, 201), 1.0)[1]
+    assert np.all(mu == mu[0])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
