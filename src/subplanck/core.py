@@ -49,18 +49,13 @@ class UnitSystem:
     ----------
     hbar : float
         Reduced Planck constant.  Sets the phase-space area scale.
-    kB : float
-        Boltzmann constant.  Enters only through bath temperatures.
     """
 
     hbar: float = 1.0
-    kB: float = 1.0
 
     def __post_init__(self) -> None:
         if not (self.hbar > 0 and math.isfinite(self.hbar)):
             raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
-        if not (self.kB > 0 and math.isfinite(self.kB)):
-            raise ValueError(f"kB must be positive and finite, got {self.kB}")
 
 
 _MAX_NODES = 2**16  # per grid axis, checked before any sample array is allocated

@@ -35,7 +35,7 @@ from subplanck.metrology import SearchError
 
 @dataclass(frozen=True)
 class BathParams:
-    """Ohmic high-temperature bath: mass, damping rate, temperature."""
+    """Ohmic high-temperature bath: mass, damping rate, temperature (kB = 1)."""
 
     mass: float
     gamma: float
@@ -104,7 +104,7 @@ def bath_moments(
     """
     t = np.asarray(t, dtype=float)
     m, g = bath.mass, bath.gamma
-    kT = units.kB * bath.temperature
+    kT = bath.temperature
     if g == 0.0 or kT == 0.0:
         zero = np.zeros_like(t)
         return zero, zero, zero
@@ -269,7 +269,7 @@ def tau_formula_position(bath: BathParams, x0: float, units: UnitSystem = UnitSy
     ``hbar^2 / (4 m gamma kB T x0^2)``.  Accurate while
     ``gamma t`` stays small over the crossing.
     """
-    kT = units.kB * bath.temperature
+    kT = bath.temperature
     if bath.gamma == 0 or kT == 0:
         raise ValueError("gamma and temperature must be positive for a finite estimate")
     return units.hbar**2 / (4 * bath.mass * bath.gamma * kT * x0**2)
@@ -287,7 +287,7 @@ def tau_formula_momentum(
     unit-exponent crossing by more than an order of magnitude at
     cat-scale separations.
     """
-    kT = units.kB * bath.temperature
+    kT = bath.temperature
     if bath.gamma == 0 or kT == 0:
         raise ValueError("gamma and temperature must be positive for a finite estimate")
     return units.hbar**4 / (16 * bath.mass * bath.gamma * kT * p0**2 * sigma**4)

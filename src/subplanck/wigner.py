@@ -20,6 +20,9 @@ The exact term of the packet pair ``(j, k)`` is the overlap
 ``(xc, pc)`` it is ``w a(x - xc) b(p - pc) exp(i c x p)``: the Gaussian
 factors ``a`` and ``b`` peak at 1 and ``|w|`` is at most twice the pair's
 weight, so none overflows, and the chirp ``c`` is 0 for equal widths.
+A pair's quadrature has the same form (:func:`_pair_integral`), so both
+routes end in :func:`_pair_sum`.  Gauss-Hermite raises
+:class:`ResolutionError` for tones beyond its order's reach.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from subplanck.core import (
     CoverageError,
     PhaseSpaceGrid,
     Quadrature,
+    ResolutionError,
     UnitSystem,
     WignerField,
     _uniform_weights,
@@ -53,41 +57,44 @@ _COVERAGE_SIGMAS = 6.1  # margin check_coverage demands around each packet
 
 def _pair_quadratic(
     cj: GaussianComponent, ck: GaussianComponent, x: np.ndarray, hbar: float
-) -> tuple[float, np.ndarray, np.ndarray]:
+) -> tuple[float, float, float, np.ndarray]:
     """Exact quadratic form of the chord product in ``y``.
 
     Writes ``phi_j(x-y/2) phi_k*(x+y/2) = exp(-A (y-mu)^2 + D - i qbar y/hbar)``
-    with ``qbar = (p0_j + p0_k)/2``; returns ``(A, mu(x), D(x))`` where
-    ``D`` is complex.  ``1 / sqrt(2 A)`` is the Gaussian width in ``y``
-    and ``mu`` its centre, which place the quadrature nodes.  ``mu`` is
-    linear in ``x``, written as slope and intercept so that equal widths,
-    whose slope is 0, give a ``mu`` that is exactly constant.
+    with ``qbar = (p0_j + p0_k)/2`` and the centre ``mu = m x + m0``;
+    returns ``(A, m, m0, D(x))`` where ``D`` is complex.  ``1 / sqrt(2 A)``
+    is the Gaussian width in ``y`` and ``mu`` its centre, which place the
+    quadrature nodes.  Equal widths give the slope ``m = 0`` exactly.
     """
     sj2, sk2 = cj.sigma**2, ck.sigma**2
     a_y = (sj2 + sk2) / (16 * sj2 * sk2)
-    lin = (1 / (4 * sj2) - 1 / (4 * sk2)) * x + (ck.x0 / (4 * sk2) - cj.x0 / (4 * sj2))
-    mu = lin / (2 * a_y)
+    m = (1 / (4 * sj2) - 1 / (4 * sk2)) / (2 * a_y)
+    m0 = (ck.x0 / (4 * sk2) - cj.x0 / (4 * sj2)) / (2 * a_y)
     const = (
         -0.25 * math.log(4 * math.pi**2 * sj2 * sk2)
         - ((x - cj.x0) ** 2) / (4 * sj2)
         - ((x - ck.x0) ** 2) / (4 * sk2)
         + 1j * ((cj.p0 - ck.p0) * x / hbar + (cj.phase - ck.phase))
     )
-    d = lin**2 / (4 * a_y) + const
-    return a_y, mu, d
+    return a_y, m, m0, a_y * (m * x + m0) ** 2 + const
 
 
 @functools.lru_cache
-def _hermite_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
+def _hermite_nodes(order: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Gauss-Hermite nodes and weights for ``exp(-t^2)`` by Golub and Welsch,
     Math. Comp. 23, 221 (1969), from ``eigh`` of the Jacobi matrix (numpy's
-    ``hermgauss`` has NaN weights at order 384); cached, as ``eigh`` takes
-    tens of milliseconds at cat-scale orders."""
+    ``hermgauss`` has NaN weights at order 384), and the rule's reach: the
+    first tone ``k`` on a grid of step 1/8 where ``|sum_n w_n exp(i k t_n)
+    - sqrt(pi) exp(-k^2/4)|`` exceeds 1e-13 (at 1e-14 the rounding of the
+    nodes trips early).  Cached, as ``eigh`` takes tens of milliseconds at
+    cat-scale orders."""
     off = np.sqrt(np.arange(1, order) / 2)
     t, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
     w = math.sqrt(math.pi) * v[0] ** 2
     t.flags.writeable = w.flags.writeable = False
-    return t, w
+    ks = np.arange(0.0, 3 * math.sqrt(2 * order), 0.125)
+    sums = np.einsum("kn,n->k", np.exp(1j * np.outer(ks, t)), w)
+    return t, w, float(ks[np.argmax(np.abs(sums - math.sqrt(math.pi) * np.exp(-ks**2 / 4)) > 1e-13)])
 
 
 def _rule_nodes(
@@ -97,15 +104,20 @@ def _rule_nodes(
     ``int exp(-A t^2) f(t) dt`` for tones ``f`` up to angular frequency
     ``omega_max``.
 
-    Gauss-Hermite scales its ``quadrature.order`` nodes to the width.  The
-    uniform rules span the Gaussian to its tail, ``+-8.5`` widths
-    ``s = 1/sqrt(2A)``, at a step ``h = 2 pi / (omega_max + 8.5/s)`` that
-    keeps the aliasing error at the level of the tail itself, and fold
-    ``exp(-A t^2)`` into the weights.
+    Gauss-Hermite scales its ``quadrature.order`` nodes to the width and
+    raises :class:`ResolutionError` if the tone ``k = omega_max / sqrt(A)``
+    lies beyond the rule's reach.  The uniform rules span the Gaussian to
+    its tail, ``+-8.5`` widths ``s = 1/sqrt(2A)``, at a step
+    ``h = 2 pi / (omega_max + 8.5/s)`` that keeps the aliasing error at the
+    level of the tail itself, and fold ``exp(-A t^2)`` into the weights.
     """
     if quadrature.rule == "gauss-hermite":
-        t, w = _hermite_nodes(quadrature.order)
+        t, w, reach = _hermite_nodes(quadrature.order)
         root = math.sqrt(a_y)
+        if omega_max / root > reach:
+            raise ResolutionError(f"a packet pair needs tones up to k = {omega_max / root:.4g}, above "
+                                  f"the reach {reach} of Gauss-Hermite order {quadrature.order}; raise "
+                                  "the order or narrow the p window")
         return t / root, w / root
     s = 1 / math.sqrt(2 * a_y)
     half = _TAIL_SIGMAS * s
@@ -128,60 +140,59 @@ def _pair_integral(
     ps: np.ndarray,
     hbar: float,
     quadrature: Quadrature,
-) -> np.ndarray:
-    """``I_jk(x, p) = int phi_j(x - y/2) phi_k*(x + y/2) e^{i p y/hbar} dy``
-    on the outer grid ``xs x ps``, by the node sum of ``quadrature``.
-
-    By :func:`_pair_quadratic` the integrand is
-    ``exp(-A t^2 + D(x) + i mu(x) omega(p)) e^{i t omega(p)}`` with
-    ``t = y - mu(x)`` and ``omega = (p - (p0_j + p0_k)/2) / hbar``.  The
-    Gaussian goes into the weights of :func:`_rule_nodes` (analytically
-    for Gauss-Hermite: evaluating it and dividing back out would
-    overflow), and the node sum ``S(p) = sum_n w_n exp(i t_n omega(p))``
-    does not depend on ``x``, so it is taken once per momentum: a pair costs
-    ``O(nodes * np + nx * np)``.  So is the tone ``exp(i mu omega)`` when
-    ``mu`` is constant (equal widths, every pair of the reference states).
-    ``S`` is summed at the nodes, not replaced by its limit, so the route
-    stays an independent quadrature; it runs in numpy's loops, not BLAS,
-    whose threads change rounding.
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Factors ``(a(x), b(p), c)`` of ``I_jk(x, p) = int phi_j(x - y/2)
+    phi_k*(x + y/2) e^{i p y/hbar} dy = a b exp(i c x p)`` by the node sum
+    of ``quadrature``.  By :func:`_pair_quadratic` the integrand is
+    ``exp(-A t^2 + D(x) + i mu omega(p)) e^{i t omega(p)}``, ``t = y - mu``
+    and ``omega = (p - qbar) / hbar``.  The Gaussian goes into the weights
+    of :func:`_rule_nodes` (analytically for Gauss-Hermite, where it would
+    overflow), so the node sum ``S(p) = sum_n w_n exp(i t_n omega)`` is
+    taken once per momentum, in numpy's loops, not BLAS, whose threads
+    change rounding; ``mu = m x + m0`` splits the tone into
+    ``a = exp(D - i m qbar x/hbar)``, ``b = exp(i m0 omega) S`` and ``c = m/hbar``.
     """
-    a_y, mu, d = _pair_quadratic(cj, ck, xs, hbar)
-    omega = (ps - 0.5 * (cj.p0 + ck.p0)) / hbar  # (np,)
+    a_y, m, m0, d = _pair_quadratic(cj, ck, xs, hbar)
+    qbar = 0.5 * (cj.p0 + ck.p0)
+    omega = (ps - qbar) / hbar  # (np,)
     t, w = _rule_nodes(quadrature, a_y, float(np.max(np.abs(omega))))
     node_sum = np.einsum("pn,n->p", np.exp(1j * np.outer(omega, t)), w)  # (np,)
-    if (mu == mu[0]).all():
-        return np.exp(d)[:, None] * (np.exp(1j * mu[0] * omega) * node_sum)[None, :]
-    return np.exp(d)[:, None] * np.exp(1j * np.outer(mu, omega)) * node_sum[None, :]
+    return np.exp(d - 1j * m * qbar * xs / hbar), np.exp(1j * m0 * omega) * node_sum, m / hbar
 
 
-def _pairs(cat: CatSpec):
-    """``(c_j c_k*, multiplicity, phi_j, phi_k)`` over the pairs ``j <= k``;
-    as ``I_kj = I_jk*``, an off-diagonal pair counts twice in the real part."""
-    for j, k in itertools.combinations_with_replacement(range(len(cat.components)), 2):
-        weight = cat.coefficients[j] * np.conj(cat.coefficients[k])
-        yield weight, 1 if j == k else 2, cat.components[j], cat.components[k]
-
-
-def _sum_pairs(state: CatSpec | MixedSpec, hbar: float, pair_fn) -> np.ndarray:
-    """``sum_b P_b N_b^2 sum_jk c_j c_k* I_jk / (2 pi hbar)`` using the
-    hermiticity of the pair integrals to evaluate only ``j <= k``."""
-    total = None
+def _pairs(state: CatSpec | MixedSpec):
+    """``(P_b N_b^2 mult c_j c_k*, phi_j, phi_k)`` over the pairs ``j <= k``
+    of every branch ``b``; as ``I_kj = I_jk*``, an off-diagonal pair counts
+    twice (``mult = 2``) in the real part."""
     for prob, cat in _branches(state):
-        acc = None
-        for weight, mult, cj, ck in _pairs(cat):
-            term = mult * (weight * pair_fn(cj, ck)).real
-            acc = term if acc is None else acc + term
-        scaled = prob * cat.norm**2 * acc
-        total = scaled if total is None else total + scaled
-    return total / (2 * math.pi * hbar)
+        for j, k in itertools.combinations_with_replacement(range(len(cat.components)), 2):
+            weight = cat.coefficients[j] * np.conj(cat.coefficients[k])
+            yield prob * cat.norm**2 * (1 if j == k else 2) * weight, cat.components[j], cat.components[k]
+
+
+def _pair_sum(a: np.ndarray, b: np.ndarray, groups, x, p) -> np.ndarray:
+    """``Re sum_k a_k b_k exp(i c_k x p)`` over the last axis of the pair
+    factors, ``a`` broadcast like ``x`` and ``b`` like ``p``: one sum per
+    group ``(c, pairs)`` of equal chirps, and for ``c = 0`` one real sum
+    with no chirp.  The sums run in numpy's loops, not BLAS, whose threads
+    change rounding."""
+    values = None
+    for c, pairs in groups:
+        ag, bg = a[..., pairs], b[..., pairs]
+        if c:
+            term = (np.exp(1j * c * x * p) * np.einsum("...k,...k->...", ag, bg)).real
+        else:  # Re(a b) = a.real b.real - a.imag b.imag
+            term = np.einsum("...k,...k->...", np.concatenate([ag.real, -ag.imag], axis=-1),
+                             np.concatenate([bg.real, bg.imag], axis=-1))
+        values = term if values is None else values + term
+    return values
 
 
 @functools.lru_cache(maxsize=16)
 def _pair_table(state: CatSpec | MixedSpec, hbar: float):
     """The separable pair terms (module docstring) of every branch, with
     the chirps grouped; cached, as Brent steps evaluate one state often."""
-    ws, js, ks = zip(*((prob * cat.norm**2 * mult * weight, cj, ck)
-                       for prob, cat in _branches(state) for weight, mult, cj, ck in _pairs(cat)))
+    ws, js, ks = zip(*_pairs(state))
     j, k = _Packets.of(js, ws), _Packets.of(ks, ws)  # j.coef: the pair weight
     f = _pair_form(k, j._replace(x0=-j.x0, p0=-j.p0), hbar)
     c = 4 * (f.chirp - 0.5 / hbar)
@@ -220,8 +231,12 @@ def wigner_transform(
     WignerField
     """
     xs, ps = grid.xs(), grid.ps()
-    pair_fn = lambda cj, ck: _pair_integral(cj, ck, xs, ps, units.hbar, quadrature)
-    return WignerField(grid=grid, values=_sum_pairs(state, units.hbar, pair_fn))
+    ws, js, ks = zip(*_pairs(state))
+    a, b, c = zip(*(_pair_integral(cj, ck, xs, ps, units.hbar, quadrature) for cj, ck in zip(js, ks)))
+    a, c = np.stack(a, axis=-1) * np.array(ws) / (2 * math.pi * units.hbar), np.array(c)
+    groups = tuple((cg, c == cg) for cg in np.unique(c))
+    values = _pair_sum(a[:, None], np.stack(b, axis=-1)[None], groups, xs[:, None], ps[None, :])
+    return WignerField(grid=grid, values=values)
 
 
 def wigner_closed_eval(
@@ -234,16 +249,7 @@ def wigner_closed_eval(
     xc, pc, inv_s2, beta, i_alpha, i_gamma, w, groups = _pair_table(state, units.hbar)
     u, v = x[..., None] - xc, p[..., None] - pc
     a, b = np.exp((i_alpha - inv_s2 * u) * u), w * np.exp((i_gamma - beta * v) * v)
-    values = None
-    for c, pairs in groups:
-        ag, bg = a[..., pairs], b[..., pairs]
-        if c:
-            term = (np.exp(1j * c * x * p) * np.einsum("...k,...k->...", ag, bg)).real
-        else:  # Re(a b) = a.real b.real - a.imag b.imag
-            term = np.einsum("...k,...k->...", np.concatenate([ag.real, -ag.imag], axis=-1),
-                             np.concatenate([bg.real, bg.imag], axis=-1))
-        values = term if values is None else values + term
-    return values
+    return _pair_sum(a, b, groups, x, p)
 
 
 def wigner_closed(
@@ -252,11 +258,9 @@ def wigner_closed(
     """Wigner function from the exact per-pair Gaussian integrals.
 
     The pair terms factor as ``a(x) b(p) exp(i c x p)`` (module docstring),
-    so ``W = Re sum_c exp(i c x p) * (A_c @ B_c)`` over the pairs grouped by
-    ``c``: column ``k`` of ``A_c`` holds pair ``k``'s ``a`` on the x nodes,
-    row ``k`` of ``B_c`` its ``b`` on the p nodes; equal widths need one
-    real product and no chirp.  The products run in numpy's loops, not
-    BLAS, whose threads change rounding.
+    so ``W = Re sum_c exp(i c x p) sum_k a_k(x) b_k(p)`` over the pairs
+    grouped by ``c`` (:func:`_pair_sum`); equal widths need one real sum
+    and no chirp.
     """
     values = wigner_closed_eval(state, grid.xs()[:, None], grid.ps()[None, :], units)
     return WignerField(grid=grid, values=values)

@@ -221,11 +221,11 @@ def pair_integral_direct(
     at every node ``y = mu(x) + t`` for every ``(x, p)``, an
     ``(nx, nodes, np)`` array, and contracts it with the weights.
     """
-    a_y, mu, d = _pair_quadratic(cj, ck, xs, hbar)
+    a_y, m, m0, d = _pair_quadratic(cj, ck, xs, hbar)
     qbar = 0.5 * (cj.p0 + ck.p0)
     omega = (ps - qbar) / hbar  # (np,)
     t, w = rule_nodes(a_y, float(np.max(np.abs(omega))))
-    ys = mu[:, None] + t[None, :]  # (nx, nodes)
+    ys = (m * xs + m0)[:, None] + t[None, :]  # (nx, nodes)
     phase = np.exp(1j * ys[:, :, None] * omega[None, None, :])  # (nx, nodes, np)
     return np.exp(d)[:, None] * np.einsum("t,xtp->xp", w, phase)
 
@@ -247,7 +247,7 @@ def pair_integral_uniform(
 ) -> np.ndarray:
     """``I_jk(x, p) = int phi_j(x - y/2) phi_k*(x + y/2) e^{i p y/hbar} dy``
     on the outer grid ``xs x ps``, by direct quadrature of the evaluated
-    packets: the reference for the package's factored node sum
+    packets: the reference for the factors of the package's node sum
     :func:`subplanck.wigner._pair_integral` of the uniform rules.
 
     The integrand is a Gaussian of width ``s`` in ``y`` times a tone of
@@ -256,7 +256,8 @@ def pair_integral_uniform(
     trapezoid sum at the level of the Gaussian tail itself.
     """
     hbar = units.hbar
-    a_y, mus, _ = _pair_quadratic(cj, ck, xs, hbar)
+    a_y, m, m0, _ = _pair_quadratic(cj, ck, xs, hbar)
+    mus = m * xs + m0
     s = 1 / math.sqrt(2 * a_y)
     lo = float(mus.min()) - _TAIL_SIGMAS * s
     hi = float(mus.max()) + _TAIL_SIGMAS * s

@@ -13,6 +13,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -45,16 +46,16 @@ def read_csv_lines(out_dir, name: str) -> list[str]:
     return text[:-1].split("\n")
 
 
-def assert_exact_field(out_dir, units: UnitSystem) -> None:
+def assert_exact_field(out_dir, units: UnitSystem, tol: float = 1e-13) -> None:
     """The written ``wigner`` CSV and summary agree with the unfactored
-    closed form within 1e-13 of max |W|."""
+    closed form within ``tol`` of max |W|."""
     payload = read_json(out_dir, "wigner")
     keys = ("x_min", "x_max", "p_min", "p_max", "nx", "np")
     grid = PhaseSpaceGrid(**{k: payload["summary"][k] for k in keys})
     rows = np.array([line.split(",") for line in read_csv_lines(out_dir, "wigner")[1:]], float)
     want = wigner_closed_direct(state_from_json(payload["state"]), grid.xs()[:, None], grid.ps()[None, :], units)
     w = rows[:, 2].reshape(grid.nx, grid.np)
-    assert np.max(np.abs(w - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.max(np.abs(w - want)) <= tol * np.max(np.abs(want))
     assert payload["summary"]["max"] == w.max() and payload["summary"]["min"] == w.min()
 
 
@@ -104,14 +105,54 @@ class TestWigner:
         assert payload["summary"]["integral"] == pytest.approx(1.0, abs=1e-5)
 
     def test_gauss_hermite_order_is_echoed(self, tmp_path):
-        # two runs at different orders must not write identical params
-        argv = ["wigner", "--state", "cat-position", "--x0", "1.2", "--sigma", "0.7",
-                "--method", "integral", "--rule", "gauss-hermite", "--nx", "21", "--np", "21"]
-        for order in ("32", "96"):
+        # two runs at different orders must not write identical params; the
+        # p window keeps every pair's tone within the reach of both orders
+        argv = ["wigner", "--state", "cat-position", "--x0", "1.2", "--sigma", "0.7", "--p-half",
+                "4.5", "--method", "integral", "--rule", "gauss-hermite", "--nx", "21", "--np", "21"]
+        for order in ("64", "96"):
             assert run_cli(tmp_path / order, *argv, "--order", order) == 0
-        params = [read_json(tmp_path / order, "wigner")["params"] for order in ("32", "96")]
-        assert [p.pop("order") for p in params] == [32, 96]
+        params = [read_json(tmp_path / order, "wigner")["params"] for order in ("64", "96")]
+        assert [p.pop("order") for p in params] == [64, 96]
         assert params[0] == params[1]
+
+    @pytest.mark.parametrize("state", ["mixed", "compass"])
+    def test_gauss_hermite_exits_4_beyond_its_reach(self, tmp_path, capsys, state):
+        # at the default window the pairs need tones up to k = 18 sqrt(2)
+        # = 25.5 (position) and 28 sqrt(2) = 39.6 (momentum): order 64
+        # reaches 12.75 and order 384 44.875; the error names the first pair
+        argv = ["wigner", "--state", state, "--method", "integral", "--rule", "gauss-hermite",
+                "--nx", "41", "--np", "41"]
+        assert run_cli(tmp_path / "64", *argv) == 4
+        error = last_error(capsys)
+        assert error["kind"] == "ResolutionError"
+        k = re.fullmatch(r"a packet pair needs tones up to k = ([\d.]+), above the reach 12.75 of Gauss-"
+                         r"Hermite order 64; raise the order or narrow the p window", error["message"])[1]
+        assert float(k) in (25.46, 39.6)
+        assert not (tmp_path / "64" / "wigner.json").exists()
+        assert run_cli(tmp_path / "384", *argv, "--order", "384") == 0
+        assert_exact_field(tmp_path / "384", UnitSystem(), tol=1e-10)
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(["mixed", "compass", "cat-position", "cat-momentum"]),
+           st.sampled_from([48, 64, 96, 128, 256, 384]), st.floats(0.4, 0.7), st.floats(0.85, 1.2))
+    def test_gauss_hermite_is_exact_or_exits_4(self, tmp_path_factory, state, order, sigma, scale):
+        # windows about the one whose widest tone, k = (p0 + p_half) sqrt(8)
+        # sigma on the momentum pairs, sits at the order's reach
+        reach = {48: 9.875, 64: 12.75, 96: 17.625, 128: 21.75, 256: 34.75, 384: 44.875}[order]
+        p0 = 3.0
+        p_half = max(scale * reach / (math.sqrt(8) * sigma) - p0, p0 + 6.2 / (2 * sigma))
+        out = tmp_path_factory.mktemp("gh")
+        rc, stderr = run_captured(out, "wigner", "--state", state, "--x0", "2.0", "--p0", repr(p0),
+                                  "--sigma", repr(sigma), "--p-half", repr(p_half), "--method", "integral",
+                                  "--rule", "gauss-hermite", "--order", str(order), "--nx", "25",
+                                  "--np", "25")
+        if rc == 4:
+            error = json.loads(stderr.strip().splitlines()[-1])["error"]
+            assert error["kind"] == "ResolutionError"
+            assert f"Gauss-Hermite order {order};" in error["message"]
+        else:
+            assert rc == 0
+            assert_exact_field(out, UnitSystem(), tol=1e-10)
 
     @pytest.mark.parametrize("method", ["integral", "closed"])
     @pytest.mark.parametrize("order", ["1025", "1000000000000", "8"])
@@ -843,7 +884,8 @@ def test_import_skips_unused_scipy_modules(tmp_path):
         ["kerr"],
         ["wigner", "--nx", "41", "--np", "41"],
         ["wigner", "--method", "integral", "--nx", "41", "--np", "41"],
-        ["wigner", "--method", "integral", "--rule", "gauss-hermite", "--nx", "41", "--np", "41"],
+        ["wigner", "--method", "integral", "--rule", "gauss-hermite", "--order", "384",
+         "--nx", "41", "--np", "41"],
     ]
     probe = f"""
 import json, sys
@@ -877,8 +919,8 @@ def test_wigner_bytes_do_not_depend_on_blas_threads(tmp_path):
         for state in ("mixed", "compass")
         for rule, extra in (
             ("closed", ["--nx", "401", "--np", "401"]),
-            *((rule, ["--method", "integral", "--rule", rule])
-              for rule in ("trapezoid", "simpson", "gauss-hermite")),
+            *((rule, ["--method", "integral", "--rule", rule]) for rule in ("trapezoid", "simpson")),
+            ("gauss-hermite", ["--method", "integral", "--rule", "gauss-hermite", "--order", "384"]),
         )
     }
     for threads in ("1", "2"):

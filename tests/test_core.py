@@ -164,13 +164,11 @@ class TestQuadrature:
 class TestUnits:
     def test_defaults(self):
         u = UnitSystem()
-        assert u.hbar == 1.0 and u.kB == 1.0
+        assert u.hbar == 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
             UnitSystem(hbar=0.0)
-        with pytest.raises(ValueError):
-            UnitSystem(kB=-1.0)
 
 
 class TestWriters:

@@ -26,7 +26,7 @@ from oracles import (
 )
 from scipy.special import roots_hermite
 
-from subplanck.core import Quadrature, UnitSystem, integrate_2d, linspace_grid
+from subplanck.core import Quadrature, ResolutionError, UnitSystem, integrate_2d, linspace_grid
 from subplanck.states import (
     CatSpec,
     FockVector,
@@ -102,7 +102,7 @@ def test_hermite_nodes_match_scipy(order):
     # Golub-Welsch nodes from numpy's eigh against scipy's roots_hermite:
     # at orders 16-400 they differ by at most 2.2e-14 (nodes) and 4.6e-15
     # (weights), absolute.  numpy's hermgauss gives NaN weights at 384.
-    t, w = _hermite_nodes(order)
+    t, w, _ = _hermite_nodes(order)
     want_t, want_w = roots_hermite(order)
     assert np.all(np.isfinite(w)) and np.all(np.diff(t) > 0)
     assert np.abs(t - want_t).max() < 1e-13
@@ -371,30 +371,41 @@ class TestGeneralPackets:
 @given(st.data(), st.floats(0.4, 0.9), st.sampled_from(("trapezoid", "simpson", "gauss-hermite")),
        st.integers(16, 400))
 def test_hermite_node_sum_factors(data, hbar, rule, order):
-    """The factored node sum of every rule equals the plain node sum over
-    the ``(nx, nodes, np)`` tone array, for equal widths (one tone per
-    momentum) and unequal ones; Gauss-Hermite's plain sum takes scipy's
-    nodes."""
+    """The factors of every rule's node sum, multiplied out, equal the plain
+    node sum over the ``(nx, nodes, np)`` tone array, for equal widths (no
+    chirp) and unequal ones; Gauss-Hermite's plain sum takes scipy's nodes,
+    and beyond the rule's reach the package refuses the pair."""
     cj, ck = draw_packet(data.draw), draw_packet(data.draw)
     if data.draw(st.booleans()):
         ck = dataclasses.replace(ck, sigma=cj.sigma)
     xs = np.linspace(-4.0, 4.0, 9)
     ps = np.linspace(-6.0, 6.0, 11)
     quadrature = Quadrature(rule=rule, order=order)
-    got = _pair_integral(cj, ck, xs, ps, hbar, quadrature)
     nodes = hermite_rule(order) if rule == "gauss-hermite" else functools.partial(_rule_nodes, quadrature)
     want = pair_integral_direct(cj, ck, xs, ps, hbar, nodes)
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    a_y = _pair_quadratic(cj, ck, xs, hbar)[0]
+    k = np.max(np.abs(ps - 0.5 * (cj.p0 + ck.p0))) / hbar / math.sqrt(a_y)
+    if rule == "gauss-hermite" and k > _hermite_nodes(order)[2]:
+        with pytest.raises(ResolutionError, match="reach"):
+            _pair_integral(cj, ck, xs, ps, hbar, quadrature)
+        return
+    assert np.max(np.abs(factored(cj, ck, xs, ps, hbar, quadrature) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def factored(cj, ck, xs, ps, hbar, quadrature) -> np.ndarray:
+    """``a(x) b(p) exp(i c x p)`` on the outer grid from the factors of
+    :func:`_pair_integral`."""
+    a, b, c = _pair_integral(cj, ck, xs, ps, hbar, quadrature)
+    return a[:, None] * b[None, :] * np.exp(1j * c * xs[:, None] * ps[None, :])
 
 
 @pytest.mark.parametrize("x0j, x0k, sigma", [(-4.5, 4.5, 0.5), (0.0, 0.0, 0.5), (1.3, -2.7, 0.37)])
 def test_equal_widths_give_a_constant_chord_centre(x0j, x0k, sigma):
-    # mu(x) is then exactly constant, so _pair_integral takes the tone
-    # exp(i mu omega) once per momentum rather than at every (x, p)
+    # the slope of mu(x) is then exactly 0, so the pair has no chirp and
+    # falls in the real sum of _pair_sum
     cj = GaussianComponent(sigma=sigma, x0=x0j, p0=10.0)
     ck = GaussianComponent(sigma=sigma, x0=x0k, p0=-10.0)
-    mu = _pair_quadratic(cj, ck, np.linspace(-9.0, 9.0, 201), 1.0)[1]
-    assert np.all(mu == mu[0])
+    assert _pair_quadratic(cj, ck, np.linspace(-9.0, 9.0, 201), 1.0)[1] == 0.0
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -405,7 +416,7 @@ def test_uniform_node_sum_matches_evaluated_packets(data, hbar, rule):
     cj, ck = draw_packet(data.draw), draw_packet(data.draw)
     xs = np.linspace(-4.0, 4.0, 17)
     ps = np.linspace(-6.0, 6.0, 13)
-    got = _pair_integral(cj, ck, xs, ps, hbar, Quadrature(rule=rule))
+    got = factored(cj, ck, xs, ps, hbar, Quadrature(rule=rule))
     want = pair_integral_uniform(cj, ck, xs, ps, UnitSystem(hbar), rule)
     assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
@@ -478,6 +489,29 @@ def test_separable_closed_form_matches_direct_oracle(drawn):
         got = wigner_closed_eval(state, xs, ps, units)
         assert got.shape == np.broadcast_shapes(np.shape(xs), np.shape(ps))
         assert np.max(np.abs(got - wigner_closed_direct(state, xs, ps, units))) <= bound
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(chirped_states(), st.sampled_from(("trapezoid", "simpson", "gauss-hermite")))
+def test_quadrature_of_chirped_states_matches_direct_oracle(drawn, rule):
+    """The integral route sums chirped pairs like the closed form does, to
+    1e-12 of max |W|; Gauss-Hermite (order 512) on a p window inside its
+    reach for every pair."""
+    state, hbar = drawn
+    units = UnitSystem(hbar)
+    comps = packets_of(state)
+    x_half = max(abs(c.x0) + 4 * c.sigma for c in comps)
+    p_half = max(abs(c.p0) + 2 * hbar / c.sigma for c in comps)
+    quadrature = Quadrature(rule=rule, order=512)
+    if rule == "gauss-hermite":  # k = (p - qbar) / (hbar sqrt(A)) stays below the reach
+        reach = 0.99 * _hermite_nodes(512)[2]
+        pairs = [(a, b) for _, cat in branches_of(state) for a in cat.components for b in cat.components]
+        p_half = min([p_half] + [reach * hbar * math.sqrt(a.sigma**2 + b.sigma**2) / (4 * a.sigma * b.sigma)
+                                 - abs(a.p0 + b.p0) / 2 for a, b in pairs])
+    grid = linspace_grid(x_half, p_half, 41, 37)
+    want = wigner_closed_direct(state, grid.xs()[:, None], grid.ps()[None, :], units)
+    got = wigner_transform(state, grid, units, quadrature).values
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("hbar", [1.0, 0.3, 0.7, 2.5])
