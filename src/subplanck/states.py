@@ -432,7 +432,8 @@ def kerr_component_count(state: FockVector, radius: float, samples: int = 2880) 
     Scans the Husimi function on the circle ``|beta| = radius``, finds
     its peaks above 0.2 of the highest, and verifies that the state is
     reproduced (fidelity ``>= 1 - 1e-6``) by a least-squares
-    superposition of coherent states at the polished peak angles.
+    superposition of coherent states at the peak angles, polished until
+    they reach that fidelity or no longer gain.
 
     Parameters
     ----------
@@ -461,12 +462,16 @@ def kerr_component_count(state: FockVector, radius: float, samples: int = 2880) 
     # the circle-scan maxima off the true component angles (the shift
     # scales like exp(-radius^2 * (1 - cos dtheta_sep))), so the seeds
     # are polished by minimizing the reconstruction infidelity directly,
-    # one angle at a time, until a sweep no longer lowers it.
+    # one angle at a time, until a sweep no longer lowers it.  The polish
+    # only lowers the infidelity, so it stops once that is within the
+    # tolerance: the count is settled.
     half = min(_POLISH_SAMPLES * 2 * math.pi / samples, math.pi / angles.size)
     best = infidelity(angles)
     for _ in range(_POLISH_SWEEPS):
         start = best
         for i in range(angles.size):
+            if best <= _FIDELITY_TOL:
+                return int(angles.size)
             along = lambda a: infidelity(np.concatenate((angles[:i], [a], angles[i + 1 :])))
             a, value = brent_min(along, angles[i] - half, angles[i] + half, xatol=1e-12)
             if value < best:

@@ -22,7 +22,8 @@ factors ``a`` and ``b`` peak at 1 and ``|w|`` is at most twice the pair's
 weight, so none overflows, and the chirp ``c`` is 0 for equal widths.
 A pair's quadrature has the same form (:func:`_pair_integral`), so both
 routes end in :func:`_pair_sum`.  Gauss-Hermite raises
-:class:`ResolutionError` for tones beyond its order's reach.
+:class:`ResolutionError` for tones beyond its order's reach, naming the
+largest tone of all pairs.
 """
 
 from __future__ import annotations
@@ -97,6 +98,15 @@ def _hermite_nodes(order: int) -> tuple[np.ndarray, np.ndarray, float]:
     return t, w, float(ks[np.argmax(np.abs(sums - math.sqrt(math.pi) * np.exp(-ks**2 / 4)) > 1e-13)])
 
 
+def _check_reach(order: int, k: float) -> None:
+    """Raise :class:`ResolutionError` if the tone ``k`` lies beyond the
+    reach of Gauss-Hermite ``order``."""
+    reach = _hermite_nodes(order)[2]
+    if k > reach:
+        raise ResolutionError(f"a packet pair needs tones up to k = {k:.4g}, above the reach {reach} "
+                              f"of Gauss-Hermite order {order}; raise the order or narrow the p window")
+
+
 def _rule_nodes(
     quadrature: Quadrature, a_y: float, omega_max: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -112,12 +122,9 @@ def _rule_nodes(
     level of the tail itself, and fold ``exp(-A t^2)`` into the weights.
     """
     if quadrature.rule == "gauss-hermite":
-        t, w, reach = _hermite_nodes(quadrature.order)
+        t, w, _ = _hermite_nodes(quadrature.order)
         root = math.sqrt(a_y)
-        if omega_max / root > reach:
-            raise ResolutionError(f"a packet pair needs tones up to k = {omega_max / root:.4g}, above "
-                                  f"the reach {reach} of Gauss-Hermite order {quadrature.order}; raise "
-                                  "the order or narrow the p window")
+        _check_reach(quadrature.order, omega_max / root)
         return t / root, w / root
     s = 1 / math.sqrt(2 * a_y)
     half = _TAIL_SIGMAS * s
@@ -232,6 +239,12 @@ def wigner_transform(
     """
     xs, ps = grid.xs(), grid.ps()
     ws, js, ks = zip(*_pairs(state))
+    if quadrature.rule == "gauss-hermite":
+        # one check over all pairs, before any node sum, so that the error
+        # names the largest tone the window needs
+        tones = (np.max(np.abs(ps - 0.5 * (cj.p0 + ck.p0))) / units.hbar
+                 / math.sqrt(_pair_quadratic(cj, ck, xs, units.hbar)[0]) for cj, ck in zip(js, ks))
+        _check_reach(quadrature.order, max(tones))
     a, b, c = zip(*(_pair_integral(cj, ck, xs, ps, units.hbar, quadrature) for cj, ck in zip(js, ks)))
     a, c = np.stack(a, axis=-1) * np.array(ws) / (2 * math.pi * units.hbar), np.array(c)
     groups = tuple((cg, c == cg) for cg in np.unique(c))

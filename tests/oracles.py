@@ -11,11 +11,13 @@ contracts.  The plain node sum of any quadrature rule is kept here as
 the reference for the factored sum the package evaluates, and the
 quadrature of the evaluated wave packets (with the wave function itself)
 as the independent reference for the uniform rules.  scipy's Nelder-Mead
-simplex is the reference for the Kerr angle polish, and the loop scans
-of the zero-lattice detector and of the orthogonality search's dip
-picker are the references for their array masks.  The
-per-value ``repr`` CSV writers are the references for the package's
-shortest-digit kernel and its table writer, and the command-line parser
+simplex is the reference for the Kerr angle polish, and the polish run to
+convergence for its stop at the tolerance.  The loop scans of the
+zero-lattice detector and of the orthogonality search's dip picker are
+the references for their array masks.  The per-value ``repr`` CSV
+writers are the references for the package's shortest-digit kernel and
+its table writer, Schubfach with every product multiplied out from
+32-bit limbs for the kernel's digit stage, and the command-line parser
 written out option by option for all six subcommands is the reference
 for the option table the CLI builds its parsers from.  The FFT
 autocorrelation of a sampled field is the independent route to the
@@ -32,6 +34,7 @@ grid for the overlap oracle, and the inverse of
 
 import argparse
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,6 +50,7 @@ from subplanck.core import (
     WignerField,
     _format_float,
     _uniform_weights,
+    brent_min,
     write_text_atomic,
 )
 from subplanck.decoherence import (
@@ -61,7 +65,11 @@ from subplanck.states import (
     CatSpec,
     FockVector,
     GaussianComponent,
+    _FIDELITY_TOL,
+    _POLISH_SAMPLES,
+    _POLISH_SWEEPS,
     MixedSpec,
+    NoDecompositionError,
     _branches,
     _husimi_seeds,
 )
@@ -204,6 +212,34 @@ def kerr_polish_nelder_mead(state: FockVector, radius: float, samples: int = 288
         options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000},
     )
     return seeds.size, min(infidelity(seeds), float(result.fun))
+
+
+def kerr_component_count_converged(state: FockVector, radius: float, samples: int = 2880) -> int:
+    """:func:`subplanck.states.kerr_component_count` with its polish run to
+    convergence: every sweep over the angles runs until one no longer
+    lowers the infidelity, and only then is the infidelity held to the
+    tolerance.  The reference for the package's polish, which stops as
+    soon as the tolerance is met."""
+    if radius < 1e-3:
+        return 1
+    angles, infidelity = _husimi_seeds(state, radius, samples)
+    half = min(_POLISH_SAMPLES * 2 * math.pi / samples, math.pi / angles.size)
+    best = infidelity(angles)
+    for _ in range(_POLISH_SWEEPS):
+        start = best
+        for i in range(angles.size):
+            along = lambda a: infidelity(np.concatenate((angles[:i], [a], angles[i + 1 :])))
+            a, value = brent_min(along, angles[i] - half, angles[i] + half, xatol=1e-12)
+            if value < best:
+                angles[i], best = a, value
+        if best >= start:
+            break
+    if best > _FIDELITY_TOL:
+        raise NoDecompositionError(
+            f"{angles.size} coherent components reproduce the state with fidelity "
+            f"{1.0 - best:.9f} < 1 - {_FIDELITY_TOL:.1e}"
+        )
+    return int(angles.size)
 
 
 def pair_integral_direct(
@@ -754,6 +790,76 @@ def rows_to_csv(header: list[str], rows: list[tuple]) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(cell(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+_M32, _M63 = 0xFFFFFFFF, (1 << 63) - 1
+
+
+@functools.cache
+def _schubfach_limbs() -> tuple[np.ndarray, ...]:
+    """The 32-bit limbs ``(g1_lo, g1_hi, g0_lo, g0_hi)`` of Schubfach's
+    ``g = g1 * 2**63 + g0 = floor(10**-k * 2**(125 - floor(log2 10**-k)))
+    + 1`` for ``k`` from -324 to 292."""
+    g1, g0 = [], []
+    for k in range(-324, 293):
+        shift = 125 - ((-k * 913_124_641_741) >> 38)
+        if k <= 0:
+            g = 10**-k << shift if shift >= 0 else 10**-k >> -shift
+        else:
+            g = (1 << shift) // 10**k
+        g1.append((g + 1) >> 63)
+        g0.append((g + 1) & _M63)
+    g1, g0 = np.array(g1, np.uint64), np.array(g0, np.uint64)
+    return g1 & _M32, g1 >> 32, g0 & _M32, g0 >> 32
+
+
+def _rop(g1_lo, g1_hi, g0_lo, g0_hi, cp: np.ndarray) -> np.ndarray:
+    """``cp * g / 2**127`` rounded to odd (Giulietti, section 9.9):
+    the high 64 bits of ``cp * g0`` and all 128 of ``cp * g1``, each
+    product built from 32-bit limbs."""
+    lo, hi = cp & _M32, cp >> 32
+    mid0, mid1 = g0_lo * hi, g0_hi * lo
+    x = (((g0_lo * lo) >> 32) + (mid0 & _M32) + (mid1 & _M32)) >> 32
+    x += g0_hi * hi + (mid0 >> 32) + (mid1 >> 32)
+    mid0, mid1 = g1_lo * hi, g1_hi * lo
+    low = g1_lo * lo
+    carry = ((low >> 32) + (mid0 & _M32) + (mid1 & _M32)) >> 32
+    y1 = g1_hi * hi + (mid0 >> 32) + (mid1 >> 32) + carry
+    y0 = low + ((mid0 + mid1) << 32)  # mod 2**64
+    z = (y0 >> 1) + x
+    return (y1 + (z >> 63)) | (((z & _M63) + _M63) >> 63)
+
+
+def schubfach_limbs(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shortest decimal ``(f, k)``, value ``f * 10**k``, of finite non-zero
+    float64 bit patterns (the sign bit is ignored), with the value and
+    both bounds of its rounding interval each multiplied out from 32-bit
+    limbs: the reference for :func:`subplanck._shortest._schubfach`."""
+    signed = bits.view(np.int64)
+    bq = (signed >> 52) & 0x7FF
+    t = signed & ((1 << 52) - 1)
+    c = (t | (np.minimum(bq, 1) << 52)).view(np.uint64)
+    q = np.maximum(bq, 1) - 1075
+    irregular = (t == 0) & (bq > 1)  # 2**q is the spacing above, 2**(q-1) below
+    # floor(log10(2**q)), or floor(log10(3/4 * 2**q)) at irregular spacing
+    k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
+    h = (q + ((-k * 913_124_641_741) >> 38) + 2).view(np.uint64)
+    g = [np.take(table, k + 324) for table in _schubfach_limbs()]
+    cb = c << 2
+    vb = _rop(*g, cb << h)
+    vbl = _rop(*g, (cb - 2 + irregular) << h) + (c & 1)  # an odd c excludes the bounds
+    vbr = _rop(*g, (cb + 2) << h) - (c & 1)
+    s = vb >> 2
+    # one digit shorter: u' = 10 floor(s / 10) or w' = u' + 10, if only one is inside
+    sp = s // 10 * 10
+    up_in, wp_in = vbl <= sp << 2, (sp + 10) << 2 <= vbr
+    shorter = (s >= 10) & (up_in != wp_in)
+    # else u = s or w = s + 1: the one inside, or the closer, or the even on a tie
+    u_in, w_in = vbl <= s << 2, (s + 1) << 2 <= vbr
+    mid = (2 * s + 1) << 1
+    pick_u = np.where(u_in != w_in, u_in, (vb < mid) | ((vb == mid) & (s & 1 == 0)))
+    f = np.where(shorter, np.where(up_in, sp, sp + 10), np.where(pick_u, s, s + 1))
+    return f, k
 
 
 def build_parser_reference() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:

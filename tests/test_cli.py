@@ -23,7 +23,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import build_parser_reference, state_from_json, wigner_closed_direct
+from oracles import (
+    build_parser_reference,
+    kerr_component_count_converged,
+    state_from_json,
+    wigner_closed_direct,
+)
 
 import subplanck
 from conftest import P0, SIGMA, X0
@@ -119,7 +124,7 @@ class TestWigner:
     def test_gauss_hermite_exits_4_beyond_its_reach(self, tmp_path, capsys, state):
         # at the default window the pairs need tones up to k = 18 sqrt(2)
         # = 25.5 (position) and 28 sqrt(2) = 39.6 (momentum): order 64
-        # reaches 12.75 and order 384 44.875; the error names the first pair
+        # reaches 12.75 and order 384 44.875; the error names the largest
         argv = ["wigner", "--state", state, "--method", "integral", "--rule", "gauss-hermite",
                 "--nx", "41", "--np", "41"]
         assert run_cli(tmp_path / "64", *argv) == 4
@@ -127,10 +132,22 @@ class TestWigner:
         assert error["kind"] == "ResolutionError"
         k = re.fullmatch(r"a packet pair needs tones up to k = ([\d.]+), above the reach 12.75 of Gauss-"
                          r"Hermite order 64; raise the order or narrow the p window", error["message"])[1]
-        assert float(k) in (25.46, 39.6)
+        assert float(k) == 39.6
         assert not (tmp_path / "64" / "wigner.json").exists()
         assert run_cli(tmp_path / "384", *argv, "--order", "384") == 0
         assert_exact_field(tmp_path / "384", UnitSystem(), tol=1e-10)
+
+    @pytest.mark.parametrize("order, reach", [(128, 21.75), (256, 34.75)])
+    def test_gauss_hermite_error_names_the_largest_tone(self, tmp_path, capsys, order, reach):
+        # order 128 reaches neither the position pairs' k = 25.5 nor the
+        # momentum pairs' 39.6, order 256 only the first: either way the
+        # error names 39.6, the tone the window needs
+        argv = ["wigner", "--state", "mixed", "--method", "integral", "--rule", "gauss-hermite",
+                "--order", str(order), "--nx", "41", "--np", "41"]
+        assert run_cli(tmp_path, *argv) == 4
+        assert last_error(capsys)["message"] == (
+            f"a packet pair needs tones up to k = 39.6, above the reach {reach} of Gauss-Hermite order "
+            f"{order}; raise the order or narrow the p window")
 
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @given(st.sampled_from(["mixed", "compass", "cat-position", "cat-momentum"]),
@@ -427,6 +444,22 @@ class TestKerr:
         )
         assert rc == 0
         assert read_json(tmp_path, "kerr")["component_count"] == 2
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.floats(1.0, 4.0),
+           st.one_of(st.integers(1, 8).map(lambda q: math.pi / q), st.floats(0.05, 2 * math.pi)))
+    def test_polish_stop_keeps_the_count_and_exit_code(self, tmp_path_factory, alpha, kappa_t):
+        # The polish stops once the infidelity is within the tolerance; run
+        # to convergence instead, it must give the same exit code, error
+        # and artifact: the polish only lowers the infidelity.
+        argv = ["kerr", "--alpha-re", repr(alpha), "--kappa-t", repr(kappa_t)]
+        out = tmp_path_factory.mktemp("kerr")
+        got = run_captured(out / "stop", *argv)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(subplanck.cli, "kerr_component_count", kerr_component_count_converged)
+            assert got == run_captured(out / "converged", *argv)
+        if got[0] == 0:
+            assert (out / "stop" / "kerr.json").read_bytes() == (out / "converged" / "kerr.json").read_bytes()
 
     def test_small_cutoff_exits_3(self, tmp_path, capsys):
         rc = run_cli(tmp_path, "kerr", "--alpha-re", "3", "--cutoff", "8")

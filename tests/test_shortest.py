@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subplanck._shortest import repr_bytes
+from oracles import schubfach_limbs
+
+from subplanck._shortest import WIDTH, _schubfach, repr_bytes
 
 
 def assert_repr(values) -> None:
@@ -41,6 +43,49 @@ PATTERNS = st.lists(
 def test_bit_patterns_match_repr(patterns):
     values = np.array(patterns, dtype=np.uint64).view(np.float64)
     assert_repr(values[np.isfinite(values)])
+
+
+def draw_bit_patterns(seed: int, n: int = 100_000) -> np.ndarray:
+    """About ``n`` finite non-zero bit patterns of either sign: a quarter
+    each of any double, ``t = 0`` at a random exponent, odd ``c`` and
+    subnormals (half of them with ``t < 2**20``), then ``t = 0`` at every
+    exponent."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**64, n, dtype=np.uint64)
+    sign, t_mask = np.uint64(1 << 63), np.uint64((1 << 52) - 1)
+    kind = np.arange(n) % 4
+    bits[kind == 1] &= ~t_mask
+    bits[kind == 2] |= 1
+    bits[kind == 3] &= sign | t_mask
+    bits[(kind == 3) & (np.arange(n) % 8 == 7)] &= sign | np.uint64((1 << 20) - 1)
+    every = np.arange(1, 2047, dtype=np.uint64) << 52
+    bits = np.concatenate([bits, every, every | sign])
+    return bits[np.isfinite(bits.view(np.float64)) & (bits << 1 != 0)]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_digits_match_the_limb_product_oracle(seed):
+    # The value's products are multiplied out once and the bounds' are
+    # derived from them by a carry or a borrow; the oracle multiplies out
+    # all three from 32-bit limbs.  The decimal (f, k) must be the same.
+    bits = draw_bit_patterns(seed)
+    f, k = _schubfach(bits)
+    want_f, want_k = schubfach_limbs(bits)
+    wrong = np.flatnonzero((f != want_f) | (k != want_k))
+    assert wrong.size == 0, f"{wrong.size} of {bits.size} differ, e.g. {bits[wrong[:5]]}"
+
+
+def test_fixed_rows_fit_every_text():
+    # every text fits the WIDTH columns of the fixed rows; the widest
+    # texts start with a sign: 20 digits after the point, 16 before it,
+    # or 17 digits and a three-digit exponent
+    widest = [1.2345678901234567e-4, 1.0000000000000002e-4, 9999999999999998.0, 1.2345678901234567e-100]
+    values = np.concatenate([signed(draw_bit_patterns(7, 4000).view(np.float64)), signed(np.array(widest)), [0.0]])
+    rows = repr_bytes(values, fixed=True)
+    assert rows.shape == (len(values), WIDTH)
+    assert [row.tobytes().replace(b"\0", b"") for row in rows] == [
+        row.tobytes().replace(b"\0", b"") for row in repr_bytes(values)]
 
 
 def test_powers_of_two():
