@@ -42,9 +42,7 @@ gives each value, in two stages:
   the second.  The point and the sign are set one byte each, and the
   exponent, in columns 25 to 29, is looked up whole.  Every other column
   is a zero byte, which a caller drops with one mask after assembling its
-  lines.  The sign of any finite value is in column 2 or right of it (a
-  positional value has at most 20 digits after the point), so every text
-  fits the :data:`WIDTH` columns from 2 to 29.
+  lines.
 
 Only integer numpy operations run per value, so no floating-point error
 can be raised.  The tables are built on first use.
@@ -63,8 +61,6 @@ _POW10 = 10 ** np.arange(19, dtype=np.uint64)
 # Text columns of the mantissa: 24 digits (up to 18 of f after "0.000")
 # and the point; the exponent follows.
 _MANTISSA = 25
-_FIRST = 2  # the leftmost column any text reaches: its sign
-WIDTH = _MANTISSA + 5 - _FIRST  # columns every text fits
 # w = s + 1 is closer to vb = 4s + r than u = s, or as close with u odd,
 # for r = vb & 3 = 3, or 2 at odd s: at 3, 6 and 7 of vb & 7
 _W_ON_TIE = np.array([0, 0, 0, 1, 0, 0, 1, 1], bool)
@@ -185,13 +181,11 @@ def _schubfach(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(shorter, sp + wp_in * np.uint64(10), s + pick_w), k
 
 
-def repr_bytes(values: np.ndarray, fixed: bool = False) -> np.ndarray:
+def repr_bytes(values: np.ndarray) -> np.ndarray:
     """``repr`` of each finite value of a 1-D float64 array, as ASCII rows.
 
     Returns a uint8 matrix with one row per value: the value's text with
-    zero bytes before, inside and after it, in the columns the array
-    needs, or with ``fixed`` in the :data:`WIDTH` columns that every
-    finite value's text fits.
+    zero bytes before, inside and after it.
     """
     digits4, last4, before, after, exponents = _tables()[6:]
     v = np.ascontiguousarray(values, dtype=np.float64)
@@ -253,7 +247,5 @@ def repr_bytes(values: np.ndarray, fixed: bool = False) -> np.ndarray:
     text.ravel()[at] = (last > point) * np.uint8(ord("."))
     text.ravel()[at - whole - 1] = (bits >> 63).astype(np.uint8) * np.uint8(ord("-"))
     text.view("<u8")[:, 3] |= np.take(exponents, exp + 324)
-    if fixed:
-        return text[:, _FIRST : _FIRST + WIDTH]
     first = (point - whole - 1).min(initial=_MANTISSA)
     return text[:, first : (_MANTISSA + 5 if sci.any() else last.max(initial=0) + 1)]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from subplanck._shortest import WIDTH, repr_bytes
+from subplanck._shortest import repr_bytes
 
 
 class PhaseSpaceError(Exception):
@@ -437,39 +437,22 @@ def _malloc_trim():
     return trim
 
 
-def _line_block(widths: list[int], n: int) -> tuple[bytearray, list[np.ndarray]]:
-    """``n`` lines of comma-separated cells of the given widths, zero
-    bytes but for the commas and newlines, as a bytearray, and a writable
-    ``(n, width)`` uint8 view of each cell's columns in it."""
-    width = sum(widths) + len(widths)
-    buf = bytearray(n * width)
-    block = np.frombuffer(buf, np.uint8).reshape(n, width)
-    ends = np.cumsum(np.add(widths, 1))
-    block[:, ends[:-1] - 1] = ord(",")
-    block[:, -1] = ord("\n")
-    return buf, [block[:, end - w - 1 : end - 1] for w, end in zip(widths, ends)]
-
-
-def _put_cells(view: np.ndarray, cells: np.ndarray) -> None:
-    """Copy text rows into a cell view, broadcasting over its leading axes:
-    each row moves as one opaque item, not byte by byte."""
-    if view.shape[-1]:
-        item = f"V{view.shape[-1]}"
-        view.view(item)[..., 0] = cells.view(item)[..., 0]
-
-
-def _csv_lines(cells: list[np.ndarray], n: int) -> bytes:
-    """``n`` lines of comma-separated cells.
+def _csv_lines(cells: list[np.ndarray], shape: tuple[int, ...]) -> bytes:
+    """Lines of comma-separated cells, one per index of ``shape``.
 
     Each cell is a uint8 matrix of text columns (:func:`repr_bytes`'
-    rows, or ``numpy.bytes_`` viewed as bytes) with one row per line,
-    and zero bytes wherever it holds no text.  The lines are laid out as
-    one padded byte matrix and the zero bytes dropped.
+    rows, or ``numpy.bytes_`` viewed as bytes) that broadcasts against
+    ``shape``, with zero bytes wherever it holds no text.  The lines are
+    laid out as one padded byte matrix and the zero bytes dropped.
     """
-    buf, views = _line_block([cell.shape[-1] for cell in cells], n)
-    for view, cell in zip(views, cells):
-        _put_cells(view, cell)
-    return buf.translate(None, b"\0")
+    width = sum(cell.shape[-1] + 1 for cell in cells)
+    block = np.empty((*shape, width), np.uint8)
+    end = 0
+    for cell in cells:
+        start, end = end, end + cell.shape[-1] + 1
+        block[..., start : end - 1] = cell
+        block[..., end - 1] = ord(",") if end < width else ord("\n")
+    return block.tobytes().translate(None, b"\0")
 
 
 def field_to_csv(field: WignerField, path: str) -> None:
@@ -481,32 +464,18 @@ def field_to_csv(field: WignerField, path: str) -> None:
     tests hold the file byte for byte to the per-value ``repr`` writer
     ``tests/oracles.py::field_to_csv_repr``.  Lines are assembled and
     written in blocks of about 16k values, so the text is never held
-    whole.  All blocks share one padded line matrix, whose commas,
-    newlines and ``p`` cells are written once.  Each block copies its
-    ``x`` cells and the kernel's fixed-width ``w`` rows into their
-    columns, one opaque item per line, and the pad bytes are dropped as
-    the block is written.  A text of 8 MiB or more ends by handing the
-    process's freed heap pages back to the OS (glibc's ``malloc_trim``).
+    whole.  A text of 8 MiB or more ends by handing the process's freed
+    heap pages back to the OS (glibc's ``malloc_trim``).
     """
     xs, ps = repr_bytes(field.grid.xs()), repr_bytes(field.grid.ps())
     nx, np_ = field.values.shape
-    rows = min(nx, max(1, _CSV_BLOCK // np_))
-    widths = [xs.shape[1], ps.shape[1], WIDTH]
-    buf, (x, p, w) = _line_block(widths, rows * np_)
-    _put_cells(p.reshape(rows, np_, -1), ps)
+    rows = max(1, _CSV_BLOCK // np_)
     with _atomic_file(path) as fh:
         fh.write(b"x,p,w\n")
         for i in range(0, nx, rows):
-            n = min(rows, nx - i) * np_
-            _put_cells(x[:n].reshape(-1, np_, x.shape[1]), xs[i : i + rows, None])
-            # the rows stay referenced until the next block's replace them:
-            # the kernel's temporaries, freed below them, are then reused
-            # by the next block rather than trimmed off the heap top and
-            # faulted in again (about 4 MB per block in a fresh process)
-            text = repr_bytes(field.values[i : i + rows].ravel(), fixed=True)
-            _put_cells(w[:n], text)
-            lines = buf if n == len(w) else buf[: n * (sum(widths) + len(widths))]
-            fh.write(lines.translate(None, b"\0"))
+            w = repr_bytes(field.values[i : i + rows].ravel())
+            n = len(w) // np_
+            fh.write(_csv_lines([xs[i : i + rows, None], ps, w.reshape(n, np_, -1)], (n, np_)))
         size = fh.tell()
     # glibc keeps freed pages resident: the top of the heap up to twice
     # its adaptive mmap threshold, and every hole below a live block.  In
@@ -544,7 +513,7 @@ def table_to_csv(header: list[str], columns: list, path: str) -> None:
         cells.append(a)
     with _atomic_file(path) as fh:
         fh.write(bytes(",".join(header) + "\n", "utf-8"))
-        fh.write(_csv_lines(cells, n))
+        fh.write(_csv_lines(cells, (n,)))
 
 
 def field_summary(field: WignerField) -> dict:

@@ -98,6 +98,15 @@ def _hermite_nodes(order: int) -> tuple[np.ndarray, np.ndarray, float]:
     return t, w, float(ks[np.argmax(np.abs(sums - math.sqrt(math.pi) * np.exp(-ks**2 / 4)) > 1e-13)])
 
 
+def _pair_tone(cj: GaussianComponent, ck: GaussianComponent, ps: np.ndarray, hbar: float) -> float:
+    """The largest tone ``k = omega_max / sqrt(A)`` of a pair's node sum over
+    the momenta ``ps``: ``omega = (p - qbar) / hbar`` in units of the
+    chord Gaussian's ``A`` (:func:`_pair_quadratic`)."""
+    sj2, sk2 = cj.sigma**2, ck.sigma**2
+    a_y = (sj2 + sk2) / (16 * sj2 * sk2)
+    return float(np.max(np.abs(ps - 0.5 * (cj.p0 + ck.p0)))) / hbar / math.sqrt(a_y)
+
+
 def _check_reach(order: int, k: float) -> None:
     """Raise :class:`ResolutionError` if the tone ``k`` lies beyond the
     reach of Gauss-Hermite ``order``."""
@@ -114,17 +123,16 @@ def _rule_nodes(
     ``int exp(-A t^2) f(t) dt`` for tones ``f`` up to angular frequency
     ``omega_max``.
 
-    Gauss-Hermite scales its ``quadrature.order`` nodes to the width and
-    raises :class:`ResolutionError` if the tone ``k = omega_max / sqrt(A)``
-    lies beyond the rule's reach.  The uniform rules span the Gaussian to
-    its tail, ``+-8.5`` widths ``s = 1/sqrt(2A)``, at a step
-    ``h = 2 pi / (omega_max + 8.5/s)`` that keeps the aliasing error at the
-    level of the tail itself, and fold ``exp(-A t^2)`` into the weights.
+    Gauss-Hermite scales its ``quadrature.order`` nodes to the width; its
+    callers hold the pair's tone to the rule's reach (:func:`_pair_tone`,
+    :func:`_check_reach`).  The uniform rules span the Gaussian to its
+    tail, ``+-8.5`` widths ``s = 1/sqrt(2A)``, at a step ``h = 2 pi /
+    (omega_max + 8.5/s)`` that keeps the aliasing error at the level of
+    the tail itself, and fold ``exp(-A t^2)`` into the weights.
     """
     if quadrature.rule == "gauss-hermite":
         t, w, _ = _hermite_nodes(quadrature.order)
         root = math.sqrt(a_y)
-        _check_reach(quadrature.order, omega_max / root)
         return t / root, w / root
     s = 1 / math.sqrt(2 * a_y)
     half = _TAIL_SIGMAS * s
@@ -158,7 +166,10 @@ def _pair_integral(
     taken once per momentum, in numpy's loops, not BLAS, whose threads
     change rounding; ``mu = m x + m0`` splits the tone into
     ``a = exp(D - i m qbar x/hbar)``, ``b = exp(i m0 omega) S`` and ``c = m/hbar``.
+    Gauss-Hermite raises :class:`ResolutionError` for a tone beyond its reach.
     """
+    if quadrature.rule == "gauss-hermite":
+        _check_reach(quadrature.order, _pair_tone(cj, ck, ps, hbar))
     a_y, m, m0, d = _pair_quadratic(cj, ck, xs, hbar)
     qbar = 0.5 * (cj.p0 + ck.p0)
     omega = (ps - qbar) / hbar  # (np,)
@@ -242,9 +253,7 @@ def wigner_transform(
     if quadrature.rule == "gauss-hermite":
         # one check over all pairs, before any node sum, so that the error
         # names the largest tone the window needs
-        tones = (np.max(np.abs(ps - 0.5 * (cj.p0 + ck.p0))) / units.hbar
-                 / math.sqrt(_pair_quadratic(cj, ck, xs, units.hbar)[0]) for cj, ck in zip(js, ks))
-        _check_reach(quadrature.order, max(tones))
+        _check_reach(quadrature.order, max(_pair_tone(cj, ck, ps, units.hbar) for cj, ck in zip(js, ks)))
     a, b, c = zip(*(_pair_integral(cj, ck, xs, ps, units.hbar, quadrature) for cj, ck in zip(js, ks)))
     a, c = np.stack(a, axis=-1) * np.array(ws) / (2 * math.pi * units.hbar), np.array(c)
     groups = tuple((cg, c == cg) for cg in np.unique(c))
