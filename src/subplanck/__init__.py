@@ -14,6 +14,7 @@ from subplanck.core import (
     PhaseSpaceGrid,
     Quadrature,
     ResolutionError,
+    SearchError,
     UnitSystem,
     WignerField,
     integrate_2d,
@@ -49,7 +50,6 @@ from subplanck.interference import (
     tile_area,
 )
 from subplanck.metrology import (
-    SearchError,
     SensitivityResult,
     find_orthogonality,
     overlap_closed,

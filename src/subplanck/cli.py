@@ -42,6 +42,7 @@ from subplanck.core import (
     InvalidFieldError,
     Quadrature,
     ResolutionError,
+    SearchError,
     UnitSystem,
     _format_float,
     field_summary,
@@ -64,7 +65,6 @@ from subplanck.interference import (
     lattice_report,
 )
 from subplanck.metrology import (
-    SearchError,
     SensitivityResult,
     find_orthogonality,
     overlap_closed,
@@ -102,7 +102,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 _STATE_CHOICES = ("cat-position", "cat-momentum", "mixed", "compass")
-_MAX_FIELD_POINTS = 2**24  # wigner samples: 134 MB per float array
+# Caps on the counts that size arrays: each keeps its largest array within 134 MB.
+_MAX_FIELD_POINTS = 2**24  # wigner samples: one float array
+_MAX_OVERLAP_POINTS = 2**19  # displacements: 4 x 4 complex packet-pair terms each
+_MAX_TIMES = 2**20  # decohere rows: 3 floats, 40 bytes of CSV kernel digits each
+_MAX_SAMPLES = 2**23  # Husimi samples: one complex FFT
+_MAX_TILES = 512  # tile extent: 10 complex pair terms per checked center
 
 
 def _build_state(name: str, x0: float, p0: float, sigma: float, units: UnitSystem):
@@ -117,13 +122,15 @@ def _build_state(name: str, x0: float, p0: float, sigma: float, units: UnitSyste
     raise ConfigError(f"unknown state {name!r}")
 
 
-# Options of every subcommand, after -h: (flag, add_argument keywords)
-# in the order of the help text.
+# Options of every subcommand, after -h, in the order of the help text:
+# (flag, add_argument keywords), then for a ranged option "positive" or
+# "non-negative" and, for a count that sizes arrays, its cap.
 _COMMON = (
     ("--config", dict(type=str, default=None, help="JSON file with option defaults")),
     ("--out", dict(type=str, default=".", help="output directory")),
     ("--hbar", dict(type=float, default=1.0, help="value of hbar")),
-    ("--threads", dict(type=int, default=1, help="accepted for compatibility; has no effect")),
+    ("--threads", dict(type=int, default=1, help="accepted for compatibility; has no effect"),
+     "positive"),
     ("--format", dict(choices=("csv", "json", "both"), default="both", help="artifact formats")),
 )
 _PACKETS = (
@@ -151,42 +158,48 @@ _OPTIONS = {
         ("--window-p", dict(type=float, default=None, help="half-width of the scan (default p0/2)")),
         ("--nx", dict(type=int, default=257)),
         ("--np", dict(type=int, default=257, dest="np_")),
-        ("--threshold", dict(type=float, default=1e-3, help="relative touch depth")),
-        ("--kmax", dict(type=int, default=3)),
-        ("--mmax", dict(type=int, default=3)),
+        ("--threshold", dict(type=float, default=1e-3, help="relative touch depth"), "positive"),
+        ("--kmax", dict(type=int, default=3), "non-negative", _MAX_TILES),
+        ("--mmax", dict(type=int, default=3), "non-negative", _MAX_TILES),
     )),
     "sensitivity": ("displacement overlap scan", (
         *_TWO_STATES,
         ("--d1-max", dict(type=float, default=None, help="scan extent (default 1.5 pi hbar/x0)")),
         ("--d2-max", dict(type=float, default=None, help="scan extent (default 1.5 pi hbar/p0)")),
-        ("--n1", dict(type=int, default=25)),
-        ("--n2", dict(type=int, default=25)),
+        # their product is capped in the command
+        ("--n1", dict(type=int, default=25), "positive"),
+        ("--n2", dict(type=int, default=25), "positive"),
         ("--tol", dict(type=float, default=0.02, help="orthogonality threshold")),
-        ("--n-scan", dict(type=int, default=601, help="search scan samples")),
+        ("--n-scan", dict(type=int, default=601, help="search scan samples"), "positive",
+         _MAX_OVERLAP_POINTS),
         ("--no-search", dict(action="store_true", help="skip the orthogonality search")),
     )),
     "decohere": ("bath attenuation of interference", (
         ("--kind", dict(choices=("position", "momentum"), default="position")),
-        ("--offset", dict(type=float, default=None, help="packet offset (default 4.5 / 10.0)")),
-        ("--sigma", dict(type=float, default=0.5)),
+        ("--offset", dict(type=float, default=None, help="packet offset (default 4.5 / 10.0)"),
+         "positive"),
+        ("--sigma", dict(type=float, default=0.5), "positive"),
         ("--mass", dict(type=float, default=1.0)),
         ("--gamma", dict(type=float, default=0.1)),
         ("--temperature", dict(type=float, default=10.0)),
-        ("--t-max", dict(type=float, default=None, help="curve extent (default 4x crossing)")),
-        ("--nt", dict(type=int, default=81)),
+        ("--t-max", dict(type=float, default=None, help="curve extent (default 4x crossing)"),
+         "non-negative"),
+        ("--nt", dict(type=int, default=81), "positive", _MAX_TIMES),
     )),
     "kerr": ("Kerr evolution component count", (
         ("--alpha-re", dict(type=float, default=3.0)),
         ("--alpha-im", dict(type=float, default=0.0)),
         ("--kappa-t", dict(type=float, default=math.pi / 2)),
-        ("--cutoff", dict(type=int, default=None)),
-        ("--radius", dict(type=float, default=None, help="Husimi scan radius (default |alpha|)")),
-        ("--samples", dict(type=int, default=2880)),
+        # kerr_evolve caps it at 4 times the cutoff its amplitude needs
+        ("--cutoff", dict(type=int, default=None), "non-negative"),
+        ("--radius", dict(type=float, default=None, help="Husimi scan radius (default |alpha|)"),
+         "non-negative"),
+        ("--samples", dict(type=int, default=2880), "positive", _MAX_SAMPLES),
     )),
     "compare": ("mixed vs compass sensitivity", (
         *_PACKETS,
         ("--tol", dict(type=float, default=0.02)),
-        ("--n-scan", dict(type=int, default=601)),
+        ("--n-scan", dict(type=int, default=601), "positive", _MAX_OVERLAP_POINTS),
     )),
 }
 
@@ -208,7 +221,7 @@ def _build_parser(
     for name, (summary, options) in _OPTIONS.items():
         if command in (None, name):
             registry[name] = sub.add_parser(name, help=summary)
-            for flag, kwargs in (*_COMMON, *options):
+            for flag, kwargs, *_ in (*_COMMON, *options):
                 registry[name].add_argument(flag, **kwargs)
     return parser, registry
 
@@ -233,11 +246,10 @@ def _apply_config(
     subcommand's defaults, so that argparse lets an explicit flag win in
     any spelling it accepts (``--sigma 0.4``, ``--sigma=0.4``, ``--sig 0.4``)."""
     config = _load_config(path)
-    # map option names as written (with dashes) to their actions
+    # map option names, with their dashes read as underscores, to their actions
     by_name = {}
     for a in sub._actions:
         for opt in a.option_strings:
-            by_name[opt.lstrip("-")] = a
             by_name[opt.lstrip("-").replace("-", "_")] = a
     values = {}
     for key, value in config.items():
@@ -275,24 +287,24 @@ def _config_value(action: argparse.Action, key: str, value):
     return value
 
 
-def _check_finite(args: argparse.Namespace, sub: argparse.ArgumentParser) -> None:
-    """Reject nan and inf in every float option, from flags or config."""
-    for action in sub._actions:
-        value = getattr(args, action.dest, None)
-        if action.type is float and value is not None and not math.isfinite(value):
-            raise ConfigError(f"{action.option_strings[0]} must be finite, got {value}")
+def _dest(flag: str, kwargs: dict) -> str:
+    return kwargs.get("dest", flag[2:].replace("-", "_"))
 
 
-def _require_bounds(args: argparse.Namespace, positive=(), non_negative=()) -> None:
-    """Reject out-of-range values before any work: counts that would leave
-    an artifact empty, widths and offsets that would be divided by, and
-    negative extents.  ``None`` stands for a computed default and passes."""
-    for dests, rule, ok in ((positive, "positive", lambda v: v > 0),
-                            (non_negative, "non-negative", lambda v: v >= 0)):
-        for dest in dests:
-            value = getattr(args, dest)
-            if value is not None and not ok(value):
-                raise ConfigError(f"--{dest.replace('_', '-')} must be {rule}, got {value}")
+def _check_values(args: argparse.Namespace) -> None:
+    """Reject nan and inf in every float option, from flags or config, and
+    every value outside its option's range in the table, in help order,
+    before any work.  ``None`` stands for a computed default and passes."""
+    for flag, kwargs, *bounds in (*_COMMON, *_OPTIONS[args.command][1]):
+        value = getattr(args, _dest(flag, kwargs))
+        if value is None:
+            continue
+        if kwargs.get("type") is float and not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value}")
+        if bounds and not (value > 0 if bounds[0] == "positive" else value >= 0):
+            raise ConfigError(f"{flag} must be {bounds[0]}, got {value}")
+        if len(bounds) > 1 and value > bounds[1]:
+            raise ConfigError(f"{flag} must not exceed {bounds[1]}, got {value}")
 
 
 def _write_outputs(args, name: str, payload: dict, write_csv=None) -> None:
@@ -304,13 +316,14 @@ def _write_outputs(args, name: str, payload: dict, write_csv=None) -> None:
         write_csv(os.path.join(args.out, f"{name}.csv"))
 
 
-def _params_echo(args, keys: list[str]) -> dict:
-    # deliberately excludes --threads: the option is accepted for
-    # compatibility and has no effect, and the artifacts must stay
+def _params_echo(args) -> dict:
+    # hbar and the command's own options with a default in the table, so no
+    # store_true flag; --threads has no effect, and the artifacts must stay
     # byte-identical whatever value it is given
     out = {"hbar": args.hbar}
-    for key in keys:
-        out[key.rstrip("_")] = getattr(args, key)
+    for flag, kwargs, *_ in _OPTIONS[args.command][1]:
+        if kwargs.get("default") is not None:
+            out[flag[2:].replace("-", "_")] = getattr(args, _dest(flag, kwargs))
     return out
 
 
@@ -328,9 +341,7 @@ def _cmd_wigner(args, units: UnitSystem) -> None:
     else:
         field = wigner_closed(state, grid, units)
     payload = {
-        "params": _params_echo(
-            args, ["state", "x0", "p0", "sigma", "nx", "np_", "method", "rule", "order"]
-        ),
+        "params": _params_echo(args),
         "state": state_to_json(state),
         "summary": field_summary(field),
     }
@@ -338,7 +349,6 @@ def _cmd_wigner(args, units: UnitSystem) -> None:
 
 
 def _cmd_tiles(args, units: UnitSystem) -> None:
-    _require_bounds(args, positive=("threshold",), non_negative=("kmax", "mmax"))
     state = _build_state(args.state, args.x0, args.p0, args.sigma, units)
     wx = args.window_x if args.window_x is not None else args.x0 / 2
     wp = args.window_p if args.window_p is not None else args.p0 / 2
@@ -352,9 +362,7 @@ def _cmd_tiles(args, units: UnitSystem) -> None:
     report = lattice_report(lattice, units, predicted_area=predicted)
     checker = checkerboard_report(evaluator, lattice, kmax=args.kmax, mmax=args.mmax)
     payload = {
-        "params": _params_echo(
-            args, ["state", "x0", "p0", "sigma", "nx", "np_", "threshold", "kmax", "mmax"]
-        ),
+        "params": _params_echo(args),
         "lattice": report,
         "checkerboard": checker,
         "touches": {
@@ -364,16 +372,14 @@ def _cmd_tiles(args, units: UnitSystem) -> None:
             "x_offset_col": lattice.x_offset_col,
         },
     }
-    rows: list[tuple] = []
-    for i, v in enumerate(lattice.x_lines):
-        rows.append(("x_line", i, float(v)))
-    for i, v in enumerate(lattice.p_lines):
-        rows.append(("p_line", i, float(v)))
-    if lattice.x_touch_first is not None:
-        rows.append(("x_touch", 0, lattice.x_touch_first))
-    if lattice.p_touch_first is not None:
-        rows.append(("p_touch", 0, lattice.p_touch_first))
-    columns = list(zip(*rows))
+    xs, ps = lattice.x_lines.tolist(), lattice.p_lines.tolist()
+    touches = {"x_touch": lattice.x_touch_first, "p_touch": lattice.p_touch_first}
+    touches = {family: value for family, value in touches.items() if value is not None}
+    columns = [
+        ["x_line"] * len(xs) + ["p_line"] * len(ps) + list(touches),
+        [*range(len(xs)), *range(len(ps)), *[0] * len(touches)],
+        [*xs, *ps, *touches.values()],
+    ]
     _write_outputs(args, "tiles", payload,
                    lambda path: table_to_csv(["family", "index", "position"], columns, path))
 
@@ -391,7 +397,8 @@ def _search(state, args, units: UnitSystem) -> SensitivityResult:
 
 
 def _cmd_sensitivity(args, units: UnitSystem) -> None:
-    _require_bounds(args, positive=("n1", "n2", "n_scan"))
+    if args.n1 * args.n2 > _MAX_OVERLAP_POINTS:
+        raise ConfigError(f"--n1 * --n2 must not exceed {_MAX_OVERLAP_POINTS}, got {args.n1 * args.n2}")
     state = _build_state(args.state, args.x0, args.p0, args.sigma, units)
     d1_max = args.d1_max if args.d1_max is not None else 1.5 * math.pi * units.hbar / args.x0
     d2_max = args.d2_max if args.d2_max is not None else 1.5 * math.pi * units.hbar / args.p0
@@ -405,10 +412,7 @@ def _cmd_sensitivity(args, units: UnitSystem) -> None:
         reference = None
     columns = [d1s.ravel(), d2s.ravel(), numeric.ravel(), reference]
     payload: dict = {
-        "params": _params_echo(
-            args,
-            ["state", "x0", "p0", "sigma", "n1", "n2", "tol", "n_scan"],
-        ),
+        "params": _params_echo(args),
         # the map's first row is the zero displacement: one evaluation
         # gives both, so they agree bit for bit
         "overlap_at_zero": float(numeric.flat[0]),
@@ -421,7 +425,6 @@ def _cmd_sensitivity(args, units: UnitSystem) -> None:
 
 
 def _cmd_decohere(args, units: UnitSystem) -> None:
-    _require_bounds(args, positive=("nt", "sigma", "offset"), non_negative=("t_max",))
     bath = BathParams(mass=args.mass, gamma=args.gamma, temperature=args.temperature)
     offset = args.offset if args.offset is not None else (4.5 if args.kind == "position" else 10.0)
     taus = {}
@@ -437,10 +440,7 @@ def _cmd_decohere(args, units: UnitSystem) -> None:
     else:
         tau_linear = tau_formula_momentum(bath, offset, args.sigma, units)
     payload = {
-        "params": _params_echo(
-            args, ["kind", "sigma", "mass", "gamma", "temperature", "nt"]
-        )
-        | {"offset": offset, "t_max": t_max},
+        "params": _params_echo(args) | {"offset": offset, "t_max": t_max},
         "decoherence_times": taus,
         "tau_linear_estimate": tau_linear,
     }
@@ -449,14 +449,12 @@ def _cmd_decohere(args, units: UnitSystem) -> None:
 
 
 def _cmd_kerr(args, units: UnitSystem) -> None:
-    _require_bounds(args, positive=("samples",), non_negative=("cutoff", "radius"))
     alpha = complex(args.alpha_re, args.alpha_im)
     state = kerr_evolve(alpha, args.kappa_t, cutoff=args.cutoff)
     radius = args.radius if args.radius is not None else abs(alpha)
     count = kerr_component_count(state, radius, samples=args.samples)
     payload = {
-        "params": _params_echo(args, ["alpha_re", "alpha_im", "kappa_t", "samples"])
-        | {"radius": radius},
+        "params": _params_echo(args) | {"radius": radius},
         "cutoff_used": state.cutoff,
         "component_count": count,
         "norm": float(np.linalg.norm(state.amplitudes)),
@@ -465,13 +463,12 @@ def _cmd_kerr(args, units: UnitSystem) -> None:
 
 
 def _cmd_compare(args, units: UnitSystem) -> None:
-    _require_bounds(args, positive=("n_scan",))
     mixed, compass = (
         _search(_build_state(name, args.x0, args.p0, args.sigma, units), args, units)
         for name in ("mixed", "compass")
     )
     payload = {
-        "params": _params_echo(args, ["x0", "p0", "sigma", "tol", "n_scan"]),
+        "params": _params_echo(args),
         "mixed": dataclasses.asdict(mixed),
         "compass": dataclasses.asdict(compass),
         "product_ratio": mixed.product / compass.product,
@@ -514,9 +511,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.config is not None:
             args = _apply_config(args.config, parser, registry[args.command], argv)
-        if args.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {args.threads}")
-        _check_finite(args, registry[args.command])
+        _check_values(args)
         units = UnitSystem(hbar=args.hbar)
         # a non-finite intermediate is a failed computation, not a result:
         # FloatingPointError is an ArithmeticError and exits 3

@@ -41,6 +41,10 @@ class ResolutionError(PhaseSpaceError):
     """A grid is too coarse to resolve the structure being measured."""
 
 
+class SearchError(PhaseSpaceError):
+    """A search found no usable minimum (orthogonality) or crossing (decoherence time)."""
+
+
 @dataclass(frozen=True)
 class UnitSystem:
     """Physical constants fixing the unit conventions.

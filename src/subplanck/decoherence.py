@@ -29,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from subplanck.core import UnitSystem, brent_root
-from subplanck.metrology import SearchError
+from subplanck.core import SearchError, UnitSystem, brent_root
 
 
 @dataclass(frozen=True)

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from subplanck.core import (
-    PhaseSpaceError,
     PhaseSpaceGrid,
+    SearchError,
     UnitSystem,
     WignerField,
     brent_min,
@@ -45,10 +45,6 @@ from subplanck.core import (
 )
 from subplanck.states import CatSpec, MixedSpec, _branches
 from subplanck.wigner import wigner_closed_eval
-
-
-class SearchError(PhaseSpaceError):
-    """An orthogonality search found no usable minimum."""
 
 
 @functools.lru_cache(maxsize=16)

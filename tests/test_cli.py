@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import corpus
 from oracles import (
     build_parser_reference,
     kerr_component_count_converged,
@@ -32,7 +33,7 @@ from oracles import (
 
 import subplanck
 from conftest import P0, SIGMA, X0
-from subplanck.cli import ConfigError, _build_parser, main
+from subplanck.cli import _COMMON, _OPTIONS, ConfigError, _build_parser, main
 from subplanck.core import PhaseSpaceGrid, UnitSystem, table_to_csv
 
 
@@ -741,6 +742,18 @@ _FLOAT_FLAGS = st.sampled_from(
 _MAGNITUDES = st.sampled_from([1e-300, 1e-200, 1e-100, 1e100, 1e160, 1e200, 1e300])
 
 
+def _range_cases():
+    """Each ranged option of each command with the first value outside its
+    range in the option table: 0 or -1 below it, the cap + 1 above it."""
+    for command, (_, options) in _OPTIONS.items():
+        for flag, _, *bounds in (*_COMMON, *options):
+            if bounds:
+                below = "0" if bounds[0] == "positive" else "-1"
+                yield pytest.param((command, flag, below), id=f"{command}{flag}-below")
+            if len(bounds) > 1:
+                yield pytest.param((command, flag, str(bounds[1] + 1)), id=f"{command}{flag}-above")
+
+
 def run_captured(out_dir, *argv: str) -> tuple[int, str]:
     """Exit code and stderr of one in-process run."""
     err = io.StringIO()
@@ -862,37 +875,39 @@ class TestBoundaryProperties:
         assert error["kind"] == "ConfigError"
         assert "usage:" not in stderr
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("decohere", "--sigma", "0"),
-            ("decohere", "--kind", "momentum", "--sigma", "0"),
-            ("decohere", "--sigma", "-0.5"),
-            ("decohere", "--offset", "0"),
-            ("decohere", "--t-max", "-1"),
-            ("tiles", "--kmax", "-1"),
-            ("tiles", "--mmax", "-1"),
-            ("kerr", "--radius", "-1"),
-            ("kerr", "--cutoff", "-1"),
-            ("tiles", "--threshold", "0"),
-            ("tiles", "--threshold", "-1"),
-            ("kerr", "--samples", "0"),
-            ("kerr", "--samples", "-3"),
-            ("sensitivity", "--n-scan", "0"),
-            ("sensitivity", "--n-scan", "-3"),
-            ("compare", "--n-scan", "0"),
-            ("compare", "--n-scan", "-3"),
-        ],
-        ids=["decohere-sigma-zero", "decohere-momentum-sigma-zero", "decohere-sigma-negative",
-             "decohere-offset-zero", "decohere-t-max-negative", "tiles-kmax-negative",
-             "tiles-mmax-negative", "kerr-radius-negative", "kerr-cutoff-negative",
-             "tiles-threshold-zero", "tiles-threshold-negative", "kerr-samples-zero",
-             "kerr-samples-negative", "sensitivity-n-scan-zero", "sensitivity-n-scan-negative",
-             "compare-n-scan-zero", "compare-n-scan-negative"],
-    )
+    @pytest.mark.parametrize("argv", [
+        pytest.param(("decohere", "--sigma", "0"), id="decohere-sigma-zero"),
+        pytest.param(("decohere", "--kind", "momentum", "--sigma", "0"),
+                     id="decohere-momentum-sigma-zero"),
+        pytest.param(("decohere", "--sigma", "-0.5"), id="decohere-sigma-negative"),
+        pytest.param(("decohere", "--offset", "0"), id="decohere-offset-zero"),
+        pytest.param(("decohere", "--t-max", "-1"), id="decohere-t-max-negative"),
+        pytest.param(("tiles", "--kmax", "-1"), id="tiles-kmax-negative"),
+        pytest.param(("tiles", "--mmax", "-1"), id="tiles-mmax-negative"),
+        pytest.param(("kerr", "--radius", "-1"), id="kerr-radius-negative"),
+        pytest.param(("kerr", "--cutoff", "-1"), id="kerr-cutoff-negative"),
+        pytest.param(("tiles", "--threshold", "0"), id="tiles-threshold-zero"),
+        pytest.param(("tiles", "--threshold", "-1"), id="tiles-threshold-negative"),
+        pytest.param(("kerr", "--samples", "0"), id="kerr-samples-zero"),
+        pytest.param(("kerr", "--samples", "-3"), id="kerr-samples-negative"),
+        pytest.param(("sensitivity", "--n-scan", "0"), id="sensitivity-n-scan-zero"),
+        pytest.param(("sensitivity", "--n-scan", "-3"), id="sensitivity-n-scan-negative"),
+        pytest.param(("compare", "--n-scan", "0"), id="compare-n-scan-zero"),
+        pytest.param(("compare", "--n-scan", "-3"), id="compare-n-scan-negative"),
+        # far above the caps: each once ended in a MemoryError traceback
+        pytest.param(("tiles", "--kmax", "100000000"), id="tiles-kmax-huge"),
+        pytest.param(("kerr", "--samples", "100000000000"), id="kerr-samples-huge"),
+        pytest.param(("decohere", "--nt", "100000000000"), id="decohere-nt-huge"),
+        pytest.param(("sensitivity", "--no-search", "--n1", "100000", "--n2", "100000"),
+                     id="sensitivity-n1-n2-huge"),
+        pytest.param(("compare", "--n-scan", "100000000"), id="compare-n-scan-huge"),
+        pytest.param(("sensitivity", "--n-scan", "100000000"), id="sensitivity-n-scan-huge"),
+        *_range_cases(),
+    ])
     def test_out_of_range_value_exits_2(self, tmp_path, argv):
         rc, stderr = run_captured(tmp_path, *argv)
         error = assert_usage_error(rc, stderr, tmp_path, argv[0])
+        assert error["kind"] == "ConfigError"
         assert argv[-2] in error["message"]
 
     @pytest.mark.parametrize("argv", [["--help"], ["decohere", "--help"]])
@@ -901,6 +916,13 @@ class TestBoundaryProperties:
             main(argv)
         assert exc.value.code == 0
         assert "usage:" in capsys.readouterr().out
+
+
+def test_corpus_exit_codes(tmp_path):
+    # every argv of the pinned corpus gives its exit code; tests/corpus.py
+    # also compares two runs of it file by file
+    results = corpus.run(tmp_path)
+    assert [(r["argv"], r["exit"]) for r in results] == [(r["argv"], r["expected"]) for r in results]
 
 
 def test_import_skips_unused_scipy_modules(tmp_path):
