@@ -44,7 +44,6 @@ from subplanck.core import (
     ResolutionError,
     SearchError,
     UnitSystem,
-    _format_float,
     field_summary,
     field_to_csv,
     linspace_grid,
@@ -101,25 +100,24 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-_STATE_CHOICES = ("cat-position", "cat-momentum", "mixed", "compass")
-# Caps on the counts that size arrays: each keeps its largest array within 134 MB.
+# Caps on the counts that size arrays: each keeps its largest array within
+# 134 MB, save --nt's at 176 MB.
 _MAX_FIELD_POINTS = 2**24  # wigner samples: one float array
 _MAX_OVERLAP_POINTS = 2**19  # displacements: 4 x 4 complex packet-pair terms each
-_MAX_TIMES = 2**20  # decohere rows: 3 floats, 40 bytes of CSV kernel digits each
+_MAX_TIMES = 2**20  # decohere times: 21 floats each in the series bracket's power table
 _MAX_SAMPLES = 2**23  # Husimi samples: one complex FFT
 _MAX_TILES = 512  # tile extent: 10 complex pair terms per checked center
 
 
-def _build_state(name: str, x0: float, p0: float, sigma: float, units: UnitSystem):
-    if name == "cat-position":
-        return make_cat_position(x0, sigma, units)
-    if name == "cat-momentum":
-        return make_cat_momentum(p0, sigma, units)
-    if name == "mixed":
-        return make_mixed(make_cat_position(x0, sigma, units), make_cat_momentum(p0, sigma, units))
-    if name == "compass":
-        return make_compass(x0, p0, sigma, units)
-    raise ConfigError(f"unknown state {name!r}")
+# --state: the state's builder from the parsed --x0, --p0 and --sigma
+_STATES = {
+    "cat-position": lambda a, units: make_cat_position(a.x0, a.sigma, units),
+    "cat-momentum": lambda a, units: make_cat_momentum(a.p0, a.sigma, units),
+    "mixed": lambda a, units: make_mixed(
+        make_cat_position(a.x0, a.sigma, units), make_cat_momentum(a.p0, a.sigma, units)
+    ),
+    "compass": lambda a, units: make_compass(a.x0, a.p0, a.sigma, units),
+}
 
 
 # Options of every subcommand, after -h, in the order of the help text:
@@ -142,7 +140,7 @@ _TWO_STATES = (("--state", dict(choices=("mixed", "compass"), default="mixed")),
 # subcommand: (help, options after the common ones)
 _OPTIONS = {
     "wigner": ("sample a Wigner function", (
-        ("--state", dict(choices=_STATE_CHOICES, default="mixed")),
+        ("--state", dict(choices=tuple(_STATES), default="mixed")),
         *_PACKETS,
         ("--x-half", dict(type=float, default=None, help="window half-width in x")),
         ("--p-half", dict(type=float, default=None, help="window half-width in p")),
@@ -329,7 +327,7 @@ def _params_echo(args) -> dict:
 
 def _cmd_wigner(args, units: UnitSystem) -> None:
     quadrature = Quadrature(rule=args.rule, order=args.order)  # --order is echoed for every method
-    state = _build_state(args.state, args.x0, args.p0, args.sigma, units)
+    state = _STATES[args.state](args, units)
     x_half = args.x_half if args.x_half is not None else args.x0 + 8 * args.sigma
     p_half = args.p_half if args.p_half is not None else args.p0 + 4 * units.hbar / args.sigma
     grid = linspace_grid(x_half, p_half, args.nx, args.np_)
@@ -349,7 +347,7 @@ def _cmd_wigner(args, units: UnitSystem) -> None:
 
 
 def _cmd_tiles(args, units: UnitSystem) -> None:
-    state = _build_state(args.state, args.x0, args.p0, args.sigma, units)
+    state = _STATES[args.state](args, units)
     wx = args.window_x if args.window_x is not None else args.x0 / 2
     wp = args.window_p if args.window_p is not None else args.p0 / 2
     grid = linspace_grid(wx, wp, args.nx, args.np_)
@@ -384,24 +382,25 @@ def _cmd_tiles(args, units: UnitSystem) -> None:
                    lambda path: table_to_csv(["family", "index", "position"], columns, path))
 
 
+def _bracket(args, units: UnitSystem) -> tuple[float, float]:
+    """Scan extents of the two displacement axes: 1.5 pi hbar over the
+    state's separation along the other axis."""
+    return 1.5 * math.pi * units.hbar / args.x0, 1.5 * math.pi * units.hbar / args.p0
+
+
 def _search(state, args, units: UnitSystem) -> SensitivityResult:
-    """Orthogonality search on the exact overlap, with each axis scan
-    bracketed at 1.5 pi hbar over the state's separation along the other."""
-    return find_orthogonality(
-        lambda d1, d2: overlap_closed(state, d1, d2, units),
-        1.5 * math.pi * units.hbar / args.x0,
-        1.5 * math.pi * units.hbar / args.p0,
-        tol=args.tol,
-        n_scan=args.n_scan,
-    )
+    """Orthogonality search on the exact overlap within :func:`_bracket`."""
+    return find_orthogonality(lambda d1, d2: overlap_closed(state, d1, d2, units),
+                              *_bracket(args, units), tol=args.tol, n_scan=args.n_scan)
 
 
 def _cmd_sensitivity(args, units: UnitSystem) -> None:
     if args.n1 * args.n2 > _MAX_OVERLAP_POINTS:
         raise ConfigError(f"--n1 * --n2 must not exceed {_MAX_OVERLAP_POINTS}, got {args.n1 * args.n2}")
-    state = _build_state(args.state, args.x0, args.p0, args.sigma, units)
-    d1_max = args.d1_max if args.d1_max is not None else 1.5 * math.pi * units.hbar / args.x0
-    d2_max = args.d2_max if args.d2_max is not None else 1.5 * math.pi * units.hbar / args.p0
+    state = _STATES[args.state](args, units)
+    bracket = _bracket(args, units)
+    d1_max = args.d1_max if args.d1_max is not None else bracket[0]
+    d2_max = args.d2_max if args.d2_max is not None else bracket[1]
     d1s, d2s = np.meshgrid(
         np.linspace(0.0, d1_max, args.n1), np.linspace(0.0, d2_max, args.n2), indexing="ij"
     )
@@ -429,12 +428,12 @@ def _cmd_decohere(args, units: UnitSystem) -> None:
     offset = args.offset if args.offset is not None else (4.5 if args.kind == "position" else 10.0)
     taus = {}
     for threshold in (0.5, 1.0, 2.0):
-        taus[f"threshold_{_format_float(threshold)}"] = decoherence_time(
+        taus[f"threshold_{threshold!r}"] = decoherence_time(
             bath, offset, args.sigma, units, kind=args.kind, threshold=threshold
         )
     t_max = args.t_max if args.t_max is not None else 4 * taus["threshold_1.0"]
     times = np.linspace(0.0, t_max, args.nt)
-    columns = list(zip(*attenuation_curve(bath, offset, args.sigma, times, units, kind=args.kind)))
+    columns = attenuation_curve(bath, offset, args.sigma, times, units, kind=args.kind)
     if args.kind == "position":
         tau_linear = tau_formula_position(bath, offset, units)
     else:
@@ -463,10 +462,7 @@ def _cmd_kerr(args, units: UnitSystem) -> None:
 
 
 def _cmd_compare(args, units: UnitSystem) -> None:
-    mixed, compass = (
-        _search(_build_state(name, args.x0, args.p0, args.sigma, units), args, units)
-        for name in ("mixed", "compass")
-    )
+    mixed, compass = (_search(_STATES[name](args, units), args, units) for name in ("mixed", "compass"))
     payload = {
         "params": _params_echo(args),
         "mixed": dataclasses.asdict(mixed),

@@ -384,11 +384,6 @@ def brent_min(f, lo: float, hi: float, xatol: float) -> tuple[float, float]:
     return xf, fx
 
 
-def _format_float(v: float) -> str:
-    """Shortest round-trip decimal form (deterministic)."""
-    return repr(float(v))
-
-
 @contextmanager
 def _atomic_file(path: str):
     """Binary file that replaces ``path`` by atomic rename when the block
@@ -423,7 +418,7 @@ def write_json(obj, path: str) -> None:
     write_text_atomic(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-_CSV_BLOCK = 16384  # values per block of field_to_csv
+_CSV_BLOCK = 16384  # values per block of field_to_csv and table_to_csv
 # field_to_csv trims the heap after texts of this size or more.  A trim
 # takes about 5 ms with 80 MB of the heap free, and its pages are faulted
 # back in later; writing 8 MiB takes about 70 ms.
@@ -462,9 +457,9 @@ def _csv_lines(cells: list[np.ndarray], shape: tuple[int, ...]) -> bytes:
 def field_to_csv(field: WignerField, path: str) -> None:
     """Write a sampled field as ``x,p,w`` rows (x-major order).
 
-    Every number is written as ``repr`` of its float, the same text
-    :func:`_format_float` gives, but made for whole arrays at once by the
-    shortest-digit kernel :func:`subplanck._shortest.repr_bytes`.  The
+    Every number is written as ``repr`` of its float, made for whole
+    arrays at once by the shortest-digit kernel
+    :func:`subplanck._shortest.repr_bytes`.  The
     tests hold the file byte for byte to the per-value ``repr`` writer
     ``tests/oracles.py::field_to_csv_repr``.  Lines are assembled and
     written in blocks of about 16k values, so the text is never held
@@ -495,29 +490,34 @@ def table_to_csv(header: list[str], columns: list, path: str) -> None:
     """Write the columns of a table as CSV lines under ``header``.
 
     A column of floats is written as ``repr`` of each value, like
-    :func:`field_to_csv`: the float cells of all columns are rendered by
-    one :func:`repr_bytes` call, so they must be finite.  A column of
+    :func:`field_to_csv`, so its values must be finite.  A column of
     ``None`` is written as empty cells, and any other sequence as the
-    ``str`` text of each value.  The tests hold the file byte for byte to
+    ``str`` text of each value.  Lines are written in blocks of about 16k
+    values; the float cells of a block's rows are rendered by one
+    :func:`repr_bytes` call.  The tests hold the file byte for byte to
     the per-cell writer ``tests/oracles.py::rows_to_csv``.
     """
     arrays = [None if c is None else np.asarray(c) for c in columns]
     n = len(next(a for a in arrays if a is not None))
-    floats = [a for a in arrays if a is not None and a.dtype.kind == "f"]
-    text = repr_bytes(np.concatenate(floats)) if floats else None
-    cells = []
-    for a in arrays:
-        if a is None:
-            a = np.zeros((n, 0), np.uint8)
-        elif a.dtype.kind == "f":
-            a, text = text[:n], text[n:]
-        else:
-            a = a.astype("S")
-            a = a.view(np.uint8).reshape(n, a.itemsize)
-        cells.append(a)
+    rows = max(1, _CSV_BLOCK // len(arrays))
     with _atomic_file(path) as fh:
         fh.write(bytes(",".join(header) + "\n", "utf-8"))
-        fh.write(_csv_lines(cells, (n,)))
+        for i in range(0, n, rows):
+            m = min(rows, n - i)
+            block = [None if a is None else a[i : i + m] for a in arrays]
+            floats = [a for a in block if a is not None and a.dtype.kind == "f"]
+            text = repr_bytes(np.concatenate(floats)) if floats else None
+            cells = []
+            for a in block:
+                if a is None:
+                    a = np.zeros((m, 0), np.uint8)
+                elif a.dtype.kind == "f":
+                    a, text = text[:m], text[m:]
+                else:
+                    a = a.astype("S")
+                    a = a.view(np.uint8).reshape(m, a.itemsize)
+                cells.append(a)
+            fh.write(_csv_lines(cells, (m,)))
 
 
 def field_summary(field: WignerField) -> dict:

@@ -344,8 +344,8 @@ def attenuation_curve(
     times,
     units: UnitSystem = UnitSystem(),
     kind: str = "position",
-) -> list[tuple[float, float, float]]:
-    """Rows ``(t, attenuation, visibility)`` with ``visibility = e^-A``."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns ``(t, attenuation, visibility)`` with ``visibility = e^-A``."""
     t = np.asarray(times, dtype=float)
     a = attenuation_exponent(bath, t, offset, sigma, units, kind)
-    return list(zip(t.tolist(), a.tolist(), np.exp(-a).tolist()))
+    return t, a, np.exp(-a)

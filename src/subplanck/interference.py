@@ -255,14 +255,19 @@ def checkerboard_report(evaluator, lattice: ZeroLattice, kmax: int = 3, mmax: in
     """
     have_x = lattice.x_lines.size >= 2
     have_p = lattice.p_lines.size >= 2
-
+    report = {
+        "pattern": "single",
+        "centers_checked": 0,
+        "signs_ok": True,
+        "first_mismatch": None,
+        "spacing_x": lattice.x_spacing() if have_x else None,
+        "spacing_p": lattice.p_spacing() if have_p else None,
+    }
     if have_x and have_p:
-        dx_t = lattice.x_spacing()
-        dp_t = lattice.p_spacing()
         k, m = np.meshgrid(np.arange(-kmax, kmax + 1), np.arange(-mmax, mmax + 1), indexing="ij")
         even = (k + m) % 2 == 0
         k, m = k[even], m[even]
-        x, p = k * dx_t, m * dp_t
+        x, p = k * report["spacing_x"], m * report["spacing_p"]
         vals = np.asarray(evaluator(x, p), dtype=float)
         bad = np.flatnonzero(np.copysign(1.0, vals) != np.where(k % 2 == 0, 1.0, -1.0))
         mismatch = None
@@ -270,37 +275,16 @@ def checkerboard_report(evaluator, lattice: ZeroLattice, kmax: int = 3, mmax: in
             i = bad[0]
             mismatch = {"k": int(k[i]), "m": int(m[i]), "x": float(x[i]), "p": float(p[i]),
                         "w": float(vals[i])}
-        return {
-            "pattern": "checkerboard",
-            "centers_checked": int(k.size),
-            "signs_ok": mismatch is None,
-            "first_mismatch": mismatch,
-            "spacing_x": dx_t,
-            "spacing_p": dp_t,
-        }
-
-    if have_p or have_x:
+        report.update(pattern="checkerboard", centers_checked=int(k.size),
+                      signs_ok=mismatch is None, first_mismatch=mismatch)
+    elif have_p or have_x:
         lines = np.sort(lattice.p_lines if have_p else lattice.x_lines)
         mids = 0.5 * (lines[:-1] + lines[1:])
         vals = np.asarray(evaluator(0.0, mids) if have_p else evaluator(mids, 0.0), dtype=float)
         signs = np.copysign(1.0, vals)
-        return {
-            "pattern": "stripes_p" if have_p else "stripes_x",
-            "centers_checked": int(mids.size),
-            "signs_ok": bool(np.all(signs[1:] != signs[:-1])),
-            "first_mismatch": None,
-            "spacing_x": lattice.x_spacing() if have_x else None,
-            "spacing_p": lattice.p_spacing() if have_p else None,
-        }
-
-    return {
-        "pattern": "single",
-        "centers_checked": 0,
-        "signs_ok": True,
-        "first_mismatch": None,
-        "spacing_x": None,
-        "spacing_p": None,
-    }
+        report.update(pattern="stripes_p" if have_p else "stripes_x", centers_checked=int(mids.size),
+                      signs_ok=bool(np.all(signs[1:] != signs[:-1])))
+    return report
 
 
 def lattice_report(

@@ -193,18 +193,17 @@ def _branches(state: CatSpec | MixedSpec) -> tuple[tuple[float, CatSpec], ...]:
     raise TypeError(f"unsupported state type {type(state).__name__}")
 
 
-def _gram_norm(
-    components: tuple[GaussianComponent, ...],
-    coefficients: tuple[complex, ...],
-    units: UnitSystem,
-) -> float:
-    """Normalization constant from the component Gram matrix."""
-    v = _Packets.of(components, coefficients)
+def _equal_cat(sigma: float, centres, units: UnitSystem) -> CatSpec:
+    """Equal-weight superposition of width-``sigma`` packets at the
+    ``(x0, p0)`` ``centres``, normalized by the packets' Gram matrix."""
+    comps = tuple(GaussianComponent(sigma=sigma, x0=x0, p0=p0) for x0, p0 in centres)
+    coeffs = (1.0 + 0.0j,) * len(comps)
+    v = _Packets.of(comps, coeffs)
     gram = np.exp(v.pair_form(units.hbar).at(0.0, 0.0))
     total = float(np.real(v.coef.conj() @ gram @ v.coef))
     if total <= 0:
         raise ValueError("superposition has zero norm")
-    return 1.0 / math.sqrt(total)
+    return CatSpec(components=comps, coefficients=coeffs, norm=1.0 / math.sqrt(total))
 
 
 def make_cat_position(x0: float, sigma: float, units: UnitSystem = UnitSystem()) -> CatSpec:
@@ -214,12 +213,7 @@ def make_cat_position(x0: float, sigma: float, units: UnitSystem = UnitSystem())
     """
     if x0 <= 0:
         raise ValueError(f"x0 must be positive, got {x0}")
-    comps = (
-        GaussianComponent(sigma=sigma, x0=x0, p0=0.0),
-        GaussianComponent(sigma=sigma, x0=-x0, p0=0.0),
-    )
-    coeffs = (1.0 + 0.0j, 1.0 + 0.0j)
-    return CatSpec(components=comps, coefficients=coeffs, norm=_gram_norm(comps, coeffs, units))
+    return _equal_cat(sigma, ((x0, 0.0), (-x0, 0.0)), units)
 
 
 def make_cat_momentum(p0: float, sigma: float, units: UnitSystem = UnitSystem()) -> CatSpec:
@@ -230,12 +224,7 @@ def make_cat_momentum(p0: float, sigma: float, units: UnitSystem = UnitSystem())
     """
     if p0 <= 0:
         raise ValueError(f"p0 must be positive, got {p0}")
-    comps = (
-        GaussianComponent(sigma=sigma, x0=0.0, p0=p0),
-        GaussianComponent(sigma=sigma, x0=0.0, p0=-p0),
-    )
-    coeffs = (1.0 + 0.0j, 1.0 + 0.0j)
-    return CatSpec(components=comps, coefficients=coeffs, norm=_gram_norm(comps, coeffs, units))
+    return _equal_cat(sigma, ((0.0, p0), (0.0, -p0)), units)
 
 
 def make_mixed(cat1: CatSpec, cat2: CatSpec, p: float = 0.5) -> MixedSpec:
@@ -251,14 +240,7 @@ def make_compass(
     """Equal superposition of four packets at ``(+-x0, 0)`` and ``(0, +-p0)``."""
     if x0 <= 0 or p0 <= 0:
         raise ValueError("x0 and p0 must be positive")
-    comps = (
-        GaussianComponent(sigma=sigma, x0=x0, p0=0.0),
-        GaussianComponent(sigma=sigma, x0=-x0, p0=0.0),
-        GaussianComponent(sigma=sigma, x0=0.0, p0=p0),
-        GaussianComponent(sigma=sigma, x0=0.0, p0=-p0),
-    )
-    coeffs = (1.0 + 0.0j,) * 4
-    return CatSpec(components=comps, coefficients=coeffs, norm=_gram_norm(comps, coeffs, units))
+    return _equal_cat(sigma, ((x0, 0.0), (-x0, 0.0), (0.0, p0), (0.0, -p0)), units)
 
 
 @dataclass(frozen=True)

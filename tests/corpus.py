@@ -123,6 +123,7 @@ CASES = [
     (0, "sensitivity --hbar 2 --n1 5 --n2 5"),
     (0, "sensitivity --x0 3 --p0 8 --sigma 0.6 --n1 5 --n2 5"),
     (0, "sensitivity --state compass --x0 3 --p0 8 --n-scan 201 --n1 5 --n2 5"),
+    (0, "sensitivity --no-search --n1 100 --n2 100"),  # a table of several CSV blocks
     # decohere
     (0, "decohere --kind momentum"),
     (0, "decohere --offset 3 --nt 11"),
@@ -134,6 +135,7 @@ CASES = [
     (0, "decohere --hbar 0.5 --nt 9"),
     (0, "decohere --t-max 1e6 --nt 5"),
     (0, "decohere --kind momentum --t-max 1e6 --nt 5"),
+    (0, "decohere --nt 20000"),  # a table of several CSV blocks
     # kerr
     (0, "kerr --kappa-t 0.7853981633974483"),
     (0, "kerr --alpha-re 2 --kappa-t 1.5707963267948966 --cutoff 48"),

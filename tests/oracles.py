@@ -43,12 +43,11 @@ from scipy.fft import irfft2, next_fast_len, rfft2
 from scipy.optimize import minimize, minimize_scalar
 from scipy.special import roots_hermite
 
-from subplanck.cli import _STATE_CHOICES, _Parser
+from subplanck.cli import _STATES, _Parser
 from subplanck.core import (
     PhaseSpaceGrid,
     UnitSystem,
     WignerField,
-    _format_float,
     _uniform_weights,
     brent_min,
     write_text_atomic,
@@ -767,7 +766,7 @@ def field_to_csv_repr(field: WignerField, path: str) -> None:
     """Write a sampled field as ``x,p,w`` rows (x-major order).
 
     Every number is written as ``repr`` of the Python float that
-    ``tolist()`` returns, the same text :func:`_format_float` gives.
+    ``tolist()`` returns.
     """
     p_text = [repr(p) for p in field.grid.ps().tolist()]
     lines = ["x,p,w"]
@@ -784,7 +783,7 @@ def rows_to_csv(header: list[str], rows: list[tuple]) -> str:
         if v is None:
             return ""
         if isinstance(v, float):
-            return _format_float(v)
+            return repr(float(v))
         return str(v)
 
     lines = [",".join(header)]
@@ -881,7 +880,7 @@ def build_parser_reference() -> tuple[argparse.ArgumentParser, dict[str, argpars
     registry: dict[str, argparse.ArgumentParser] = {}
 
     w = sub.add_parser("wigner", parents=[common], help="sample a Wigner function")
-    w.add_argument("--state", choices=_STATE_CHOICES, default="mixed")
+    w.add_argument("--state", choices=tuple(_STATES), default="mixed")
     w.add_argument("--x0", type=float, default=4.5)
     w.add_argument("--p0", type=float, default=10.0)
     w.add_argument("--sigma", type=float, default=0.5)

@@ -405,6 +405,20 @@ class TestDecohere:
         # every fringe is gone: A = offset^2 / (2 sigma^2) = 40.5
         assert all(a == 40.5 for _, a, _ in rows[1:])
 
+    def test_long_curve_stays_in_columns(self, tmp_path):
+        # the curve is three float columns and its CSV is written in
+        # blocks, so the peak stays near the series bracket's nt x 21
+        # power table (22 MB)
+        tracemalloc.start()
+        try:
+            rc = run_cli(tmp_path, "decohere", "--nt", "131072")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert len(read_csv_lines(tmp_path, "decohere")) == 1 + 131072
+        assert peak < 80 * 2**20
+
     def test_gamma_zero_exits_3(self, tmp_path, capsys):
         rc = run_cli(tmp_path, "decohere", "--gamma", "0", "--nt", "5")
         assert rc == 3

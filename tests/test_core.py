@@ -7,6 +7,7 @@ import math
 import sys
 import threading
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,7 +29,6 @@ from subplanck import (
     wigner_closed,
 )
 from subplanck.core import (
-    _format_float,
     _malloc_trim,
     brent_min,
     brent_root,
@@ -172,10 +172,6 @@ class TestUnits:
 
 
 class TestWriters:
-    def test_format_float_round_trip(self):
-        for v in (0.1, 1 / 3, math.pi, 1e-300, -7.25):
-            assert float(_format_float(v)) == v
-
     def test_write_json_sorted_and_atomic(self, tmp_path):
         path = tmp_path / "out.json"
         write_json({"b": 1, "a": [1.5, 2.5]}, str(path))
@@ -262,9 +258,8 @@ class TestWriters:
         field_to_csv_repr(f, str(tmp_path / "oracle.csv"))
         assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(tables())
-    def test_table_to_csv_matches_row_writer(self, tmp_path_factory, table):
+    @staticmethod
+    def check_table(tmp_path_factory, table):
         header, columns = table
         path = tmp_path_factory.mktemp("table") / "t.csv"
         with np.errstate(all="raise"):
@@ -272,6 +267,18 @@ class TestWriters:
         n = len(next(c for c in columns if c is not None))
         rows = list(zip(*([None] * n if c is None else list(c) for c in columns)))
         assert path.read_bytes() == rows_to_csv(header, rows).encode("ascii")
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(tables())
+    def test_table_to_csv_matches_row_writer(self, tmp_path_factory, table):
+        self.check_table(tmp_path_factory, table)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(tables())
+    def test_table_to_csv_matches_row_writer_across_blocks(self, tmp_path_factory, table):
+        # blocks of 8 values: up to 40 rows of 1 to 5 columns span 1 to 40 blocks
+        with mock.patch.object(subplanck.core, "_CSV_BLOCK", 8):
+            self.check_table(tmp_path_factory, table)
 
     def test_field_to_csv_failure_leaves_no_file(self, tmp_path):
         f = gaussian_field(linspace_grid(1.0, 1.0, 3, 4))

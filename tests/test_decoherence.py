@@ -163,8 +163,8 @@ class TestAttenuation:
                 for t in ts[::7]:
                     a = attenuation_exponent(bath0, float(t), offset, sigma, units, kind)
                     assert type(a) is float and a == 0.0
-                rows = attenuation_curve(bath0, offset, sigma, ts, units, kind)
-                assert [(a, vis) for _, a, vis in rows] == [(0.0, 1.0)] * ts.size
+                _, a, vis = attenuation_curve(bath0, offset, sigma, ts, units, kind)
+                assert list(zip(a.tolist(), vis.tolist())) == [(0.0, 1.0)] * ts.size
 
     def test_position_short_time_slope(self, bath, units):
         t = 1e-6
@@ -199,9 +199,9 @@ class TestAttenuation:
 
     def test_curve_rows(self, bath, units):
         ts = [0.0, 0.01, 0.05]
-        rows = attenuation_curve(bath, X0, SIGMA, ts, units)
-        assert [r[0] for r in rows] == ts
-        for t, a, vis in rows:
+        columns = attenuation_curve(bath, X0, SIGMA, ts, units)
+        assert columns[0].tolist() == ts
+        for t, a, vis in zip(*(c.tolist() for c in columns)):
             assert a == attenuation_exponent(bath, t, X0, SIGMA, units)
             assert vis == pytest.approx(math.exp(-a), rel=1e-15)
 
@@ -235,10 +235,10 @@ def broadcast_cases(draw):
 def test_broadcast_layer_matches_scalar_calls(case):
     bath, kind, offset, sigma, ts = case
     units = UnitSystem()
-    rows = attenuation_curve(bath, offset, sigma, ts, units, kind)
-    assert [r[0] for r in rows] == ts.tolist()
+    columns = attenuation_curve(bath, offset, sigma, ts, units, kind)
+    assert columns[0].tolist() == ts.tolist()
     floor = 200 * np.finfo(float).eps * 2 * offset**2 * sigma**2
-    for t, a, _ in rows:
+    for t, a in zip(columns[0].tolist(), columns[1].tolist()):
         assert a == attenuation_exponent(bath, t, offset, sigma, units, kind)
         b = attenuation_numeric(bath, t, offset, sigma, units, kind)
         # Without diffusion the exact exponent is zero, and both routes
